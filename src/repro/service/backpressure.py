@@ -88,16 +88,23 @@ class AdmissionController:
         self.max_forced_collections = max_forced_collections
         self.stats = BackpressureStats()
 
-    def admit(self, store: ObjectStore, incoming_bytes: int) -> bool:
+    def admit(
+        self, store: ObjectStore, incoming_bytes: int, can_collect: bool = True
+    ) -> bool:
         """True when ``incoming_bytes`` may be allocated within the bound.
 
         Forces collections until the allocation fits or collection stops
         reclaiming; a False return means the caller must shed the work —
-        admitting it would break the heap invariant.
+        admitting it would break the heap invariant. ``can_collect=False``
+        (inside a transaction, where the database is never collected)
+        sheds at once: a collection there could reclaim an object the
+        open transaction killed, which its abort must resurrect.
         """
         if store.db_size + incoming_bytes <= self.max_heap_bytes:
             return True
         self.stats.engaged += 1
+        if not can_collect:
+            return False
         for _ in range(self.max_forced_collections):
             if self.mode == "delay":
                 self.stats.delays += 1

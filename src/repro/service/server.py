@@ -18,6 +18,15 @@ replay:
 * **observability** — checkpoint/shed/heartbeat events and
   ``service.*`` metrics through :mod:`repro.obs`.
 
+Events are replayed by the batched interpreter of :mod:`repro.sim.batch`,
+fed from the stream one event at a time (:class:`_Feed`): the fused fast
+mode when the run is eligible — redo log and WAL included — and the
+guarded per-event mode under fault injection, parallel collection or
+admission control. The service pulls event *k+1* only after it has
+applied event *k* (and any collection it triggered), so an open-loop
+client sees every stall. Service hooks — checkpoints, the log bound,
+``max_events``, shutdown — run where the interpreter hands back control.
+
 Crash semantics are identical to finite drills: an injected
 :class:`~repro.faults.injector.SimulatedCrash` propagates annotated with
 ``event_index``/``resume_index``, and a recovered service resumes the
@@ -31,15 +40,13 @@ import dataclasses
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.rate_policy import RatePolicy
 from repro.events import (
     AbortTransactionEvent,
     CommitTransactionEvent,
     CreateEvent,
-    IdleEvent,
-    PhaseMarkerEvent,
     PointerWriteEvent,
     TraceEvent,
 )
@@ -48,6 +55,7 @@ from repro.gc.selection import PartitionSelectionPolicy
 from repro.service.backpressure import AdmissionController, BackpressureStats
 from repro.service.config import ServiceConfig
 from repro.service.stream import EventStream
+from repro.sim.batch import StreamWindow, _fast_eligible, replay_window
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.storage.heap import ObjectStore
 from repro.tx.recovery import RedoLog, build_checkpoint
@@ -89,6 +97,150 @@ class ServiceReport:
     paced_sleep_s: float = 0.0
     #: Wall-clock seconds the run took.
     wall_s: float = 0.0
+
+
+#: Events the column window may hold before the service recycles it at the
+#: next quiescent point (every checkpoint recycles it too), so memory stays
+#: bounded on unbounded streams.
+_WINDOW_EVENTS = 8192
+
+
+def _paced(
+    events: Iterator[TraceEvent], rate: float, started: float, report
+) -> Iterator[TraceEvent]:
+    """Hold ``events`` to ``rate`` per wall-clock second since ``started``.
+
+    Before handing over event *k+1* it sleeps until ``started + k / rate``:
+    the service has applied event *k* by then, since it never pulls ahead.
+    Sleep time accrues in ``report.paced_sleep_s``. Pacing is wall-clock
+    behaviour only; it never changes what the service computes.
+    """
+    handed = 0
+    next_event = iter(events).__next__
+    while True:
+        if handed:
+            ahead = started + handed / rate - time.monotonic()
+            if ahead > 0.001:
+                time.sleep(ahead)
+                report.paced_sleep_s += ahead
+        try:
+            event = next_event()
+        except StopIteration:
+            return
+        handed += 1
+        yield event
+
+
+class _Feed:
+    """The service's end of the interpreter's pull protocol.
+
+    :func:`repro.sim.batch.replay_window` calls :meth:`pull` after it has
+    applied every event in the window. ``pull`` pushes the next stream
+    event, or declines when a service hook needs the flushed state — a
+    checkpoint (cadence or log bound), shutdown, a full window, all at
+    quiescent points only — or when the ``max_events`` window or the
+    stream has ended; :meth:`boundary` then runs the hook. Under admission
+    control (guarded mode, so the simulation state is always current)
+    ``pull`` sheds events itself: they count as seen, are never pushed,
+    and get the per-event collection check of an applied event.
+    """
+
+    __slots__ = (
+        "gcs", "source", "window", "tx", "log", "admission", "seen",
+        "applied", "heap_peak", "limit", "max_log", "every",
+        "checkpointed_at", "due_at", "exhausted",
+    )
+
+    def __init__(self, gcs: "GcService", source: Iterator[TraceEvent]) -> None:
+        svc = gcs.service
+        self.gcs = gcs
+        self.source = source
+        self.window = StreamWindow()
+        self.tx = gcs.sim.tx
+        self.log = gcs.sim.redo_log
+        self.admission = gcs.admission
+        #: Stream events consumed (applied + shed) and applied this run.
+        self.seen = 0
+        self.applied = 0
+        #: Largest db_size after any event (raised by the interpreter).
+        self.heap_peak = 0
+        self.limit = svc.max_events if svc.max_events is not None else float("inf")
+        self.max_log = svc.max_log_records
+        self.every = svc.checkpoint_every_events
+        #: ``applied`` when the last checkpoint was taken (negative when an
+        #: earlier run of this service left events uncheckpointed).
+        self.checkpointed_at = -gcs._events_since_checkpoint
+        self.exhausted = False
+        self._rearm()
+
+    def _rearm(self) -> None:
+        self.due_at = min(
+            self.checkpointed_at + self.every, self.applied + _WINDOW_EVENTS
+        )
+
+    def pull(self) -> bool:
+        while True:
+            if (
+                self.applied >= self.due_at
+                or self.gcs._shutdown_requested
+                or self.max_log is not None
+                and self.log.suffix_length > self.max_log
+            ) and not self.tx.in_transaction:
+                return False
+            if self.seen >= self.limit:
+                return False
+            event = next(self.source, None)
+            if event is None:
+                self.exhausted = True
+                return False
+            self.seen += 1
+            if self.admission is not None and not self._admitted(event):
+                continue
+            self.applied += 1
+            self.window.push(event)
+            return True
+
+    def _admitted(self, event: TraceEvent) -> bool:
+        # Admission runs against event k's own index and may collect or
+        # abort; a crash in between resumes at event k, as it would
+        # mid-application.
+        sim = self.gcs.sim
+        sim._event_index += 1
+        sim._event_applied = False
+        if self.gcs._admit(event):
+            sim._event_index -= 1  # the interpreter counts it as it applies
+            sim._event_applied = True
+            return True
+        sim._event_applied = True
+        if not self.tx.in_transaction:
+            while sim._clock() >= sim._due_at:
+                sim._collect()
+        return False
+
+    def boundary(self, report: ServiceReport) -> Optional[str]:
+        """Run the hook that made :meth:`pull` decline, on flushed state.
+
+        Returns the stop reason, or None to resume replay. Every event in
+        the window has been applied by now, so the window is recycled.
+        """
+        self.window.clear()
+        gcs = self.gcs
+        if not self.tx.in_transaction:
+            if self.applied - self.checkpointed_at >= self.every or (
+                self.max_log is not None and self.log.suffix_length > self.max_log
+            ):
+                gcs._checkpoint(report)
+                self.checkpointed_at = self.applied
+                self._rearm()
+                return None
+            if gcs._shutdown_requested:
+                return "shutdown"
+        if self.seen >= self.limit:
+            return "max-events"
+        if self.exhausted:
+            return "end-of-stream"
+        self._rearm()
+        return None
 
 
 class GcService:
@@ -178,25 +330,27 @@ class GcService:
         """Consume the stream from ``start_index`` until a stop condition.
 
         Stop conditions: the stream ends, ``service.max_events`` stream
-        events were consumed, or shutdown was requested — the latter two
-        drain the in-flight transaction first, so the stop point is always
+        events were consumed, or shutdown was requested — the latter
+        drains the in-flight transaction first, so the stop point is
         quiescent and the final checkpoint covers everything applied.
-        An injected crash propagates as
-        :class:`~repro.faults.injector.SimulatedCrash` annotated with the
-        resume index, like :meth:`Simulation.run`.
+        (``max_events`` is an exact window boundary, honoured even
+        mid-transaction: soak drills rely on every segment consuming
+        precisely the same absolute stream window as the reference,
+        whatever index a segment started from.) An injected crash
+        propagates as :class:`~repro.faults.injector.SimulatedCrash`
+        annotated with the resume index, like :meth:`Simulation.run`.
         """
         sim = self.sim
         svc = self.service
         store = sim.store
-        iostats = store.iostats
         tx = sim.tx
         run_started = time.monotonic()
         report = ServiceReport(next_index=start_index)
-        events = self.stream.events_from(start_index)
+        source = self.stream.events_from(start_index)
+        if svc.target_ops_per_s is not None:
+            source = _paced(source, svc.target_ops_per_s, run_started, report)
         sim._event_index = start_index - 1
         sim._tx_start_index = None
-        rate = svc.target_ops_per_s
-        max_events = svc.max_events
         obs = self.obs
         if obs is not None:
             obs.event(
@@ -205,46 +359,14 @@ class GcService:
                 start_index=start_index,
                 policy=sim.policy.describe(),
             )
-        stopped = "end-of-stream"
+        feed = _Feed(self, source)
+        stopped = None
         try:
-            sim._schedule(sim.policy.first_trigger(store, iostats))
-            for event in events:
-                sim._event_index += 1
-                sim._event_applied = False
-                report.events_seen += 1
-                applied = self._process(event)
-                sim._event_applied = True
-                if applied:
-                    report.events_applied += 1
-                    self._events_since_checkpoint += 1
-                occupancy = store.db_size
-                if occupancy > report.heap_peak_bytes:
-                    report.heap_peak_bytes = occupancy
-                if not tx.in_transaction:
-                    while sim._clock() >= sim._due_at:
-                        sim._collect()
-                    if self._checkpoint_due():
-                        self._checkpoint(report)
-                    if self._shutdown_requested:
-                        stopped = "shutdown"
-                        break
-                # max_events is an exact window boundary, honoured even
-                # mid-transaction: soak drills rely on every segment
-                # consuming precisely the same absolute stream window as
-                # the reference, whatever index a segment started from.
-                # (Graceful shutdown, by contrast, drains to quiescence.)
-                if max_events is not None and report.events_seen >= max_events:
-                    stopped = "max-events"
-                    break
-                if rate is not None:
-                    ahead = (
-                        run_started
-                        + report.events_seen / rate
-                        - time.monotonic()
-                    )
-                    if ahead > 0.001:
-                        time.sleep(ahead)
-                        report.paced_sleep_s += ahead
+            sim._schedule(sim.policy.first_trigger(store, store.iostats))
+            fast = self.admission is None and _fast_eligible(sim)
+            while stopped is None:
+                replay_window(sim, feed.window, feed, fast)
+                stopped = feed.boundary(report)
         except SimulatedCrash as crash:
             crash.event_index = sim._event_index
             crash.resume_index = (
@@ -253,6 +375,10 @@ class GcService:
                 else sim._event_index + (0 if not sim._event_applied else 1)
             )
             raise
+        report.events_seen = feed.seen
+        report.events_applied = feed.applied
+        report.heap_peak_bytes = feed.heap_peak
+        self._events_since_checkpoint = feed.applied - feed.checkpointed_at
         # Quiescent stop: flush a final checkpoint so a restart replays
         # nothing. (A malformed finite stream ending mid-transaction skips
         # it — checkpoints are only ever taken between transactions.)
@@ -265,16 +391,14 @@ class GcService:
         return report
 
     # ------------------------------------------------------------------
-    # Event admission and application
+    # Event admission
     # ------------------------------------------------------------------
 
-    def _process(self, event: TraceEvent) -> bool:
-        """Apply one stream event, or shed it. True when applied."""
+    def _admit(self, event: TraceEvent) -> bool:
+        """Admission control for one pulled event: True to apply it,
+        False when it is shed (its transaction block aborted and the rest
+        of the block skipped)."""
         admission = self.admission
-        if admission is None:
-            self.sim._apply(event)
-            self._sample(event)
-            return True
         shed = self._shed_oids
         cls = event.__class__
         # Skip the remainder of a shed transaction block.
@@ -295,11 +419,12 @@ class GcService:
             return False
         # Admission: allocations must fit under the heap bound.
         if cls is CreateEvent:
-            if not admission.admit(self.sim.store, event.size):
+            in_transaction = self.sim.tx.in_transaction
+            if not admission.admit(self.sim.store, event.size, not in_transaction):
                 admission.stats.shed_events += 1
                 admission.stats.shed_objects += 1
                 shed.add(event.oid)
-                if self.sim.tx.in_transaction:
+                if in_transaction:
                     # Transactions are atomic: a rejected allocation sheds
                     # the whole block. Undo what already applied and skip
                     # to the block's end.
@@ -310,21 +435,8 @@ class GcService:
                 if self.obs is not None:
                     self.obs.metrics.counter("service.backpressure.sheds").inc()
                 return False
-        self.sim._apply(event)
         self._prune_ledger(event)
-        self._sample(event)
         return True
-
-    def _sample(self, event: TraceEvent) -> None:
-        sim = self.sim
-        cls = event.__class__
-        if cls is PhaseMarkerEvent:
-            return
-        if cls is IdleEvent:
-            sim._handle_idle(event.ticks)
-            return
-        sim._note_activity()
-        sim.sampler.on_event(sim.store, sim.store.iostats)
 
     def _references_shed(self, event: TraceEvent) -> bool:
         shed = self._shed_oids
@@ -371,16 +483,6 @@ class GcService:
         before = store.db_size
         self.sim._collect(force=True)
         return store.db_size < before
-
-    def _checkpoint_due(self) -> bool:
-        svc = self.service
-        if self._events_since_checkpoint >= svc.checkpoint_every_events:
-            return True
-        return (
-            svc.max_log_records is not None
-            and self.sim.redo_log is not None
-            and self.sim.redo_log.suffix_length > svc.max_log_records
-        )
 
     def _checkpoint(self, report: ServiceReport) -> None:
         """Snapshot, pay the WAL cost, truncate the log (quiescent only).

@@ -18,8 +18,12 @@ form instead, in one of two modes:
   the trace. Homogeneous ACCESS/UPDATE runs (from the precomputed
   run-length index) are applied as bulk operations when the trigger clock
   is provably frozen across the run. Eligibility is conservative
-  (:func:`_fast_eligible`): any hook, fault injector, redo log, retained
-  event series, or subclassed component routes to guarded mode instead.
+  (:func:`_fast_eligible`): any hook, fault injector, retained event
+  series, parallel collection or subclassed component routes to guarded
+  mode instead. A redo log does not: fast mode commits each mutation
+  outside an explicit transaction as an inline singleton — the same redo
+  records and WAL page writes as the scalar auto-commit, without the
+  transaction objects.
 
 * **guarded mode** (:func:`_replay_guarded`) — a per-event loop over the
   same columns that calls the real store/transaction/sampler methods in
@@ -27,6 +31,11 @@ form instead, in one of two modes:
   handler dispatch, so it composes with fault injection, WAL/redo
   logging, opportunistic policies and retained series. Fast mode also
   drops into guarded mode for the span of each explicit transaction.
+
+Both modes also replay a :class:`StreamWindow` — columns the long-running
+service appends stream events to one at a time (:func:`replay_window`):
+when the interpreter has applied every column it asks a feed for the next
+event, so it never reads ahead of what it has applied.
 
 Both modes are **result-identical to the scalar loop**: summaries are
 pickle-equal and final store state matches field for field (property-
@@ -52,6 +61,7 @@ from scalar error-state.
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Optional
 
@@ -75,7 +85,14 @@ from repro.storage.object_model import ObjectKind, StoredObject
 from repro.storage.objtable import PlacementTable
 from repro.storage.partition import Partition
 from repro.tx.manager import TransactionManager
-from repro.workload.compiled import _NONE, CompiledTrace, CompiledTraceError
+from repro.tx.recovery import RedoLog, RedoRecord
+from repro.tx.wal import RECORD_SIZES, WriteAheadLog
+from repro.workload.compiled import (
+    _NONE,
+    CompiledTrace,
+    CompiledTraceError,
+    TraceColumns,
+)
 
 _APP = IOCategory.APPLICATION
 _BASE_OVERWRITES = TimeBase.OVERWRITES
@@ -175,6 +192,90 @@ def _fold_add(total: float, value: float, count: int) -> float:
 
 
 # ----------------------------------------------------------------------
+# Auto-commit singletons: the redo/WAL bookkeeping of fast mode
+#
+# With a redo log attached, every CREATE/WRITE/UPDATE/ROOT outside an
+# explicit transaction is committed as a singleton transaction (see
+# Simulation._apply). Fast mode logs those inline: it appends the same
+# RedoRecords, charges the WAL's page writes to the application ledger as
+# they happen (they advance the app-I/O clock), and settles the remaining
+# WAL and transaction counters at each flush. A singleton with no fault
+# hook cannot abort, so no Transaction or undo objects are built.
+# ----------------------------------------------------------------------
+
+_record = tuple.__new__  # builds a RedoRecord without its Python __new__
+_RR = RedoRecord
+#: RedoRecord fields after (kind, txid) of a record with no payload.
+_NO_PAYLOAD = (None, None, None, (), None, None, (), None)
+
+
+def _auto_commit(rext, txid, record=None) -> None:
+    """Log one singleton: begin, the operation's ``record`` (None for an
+    update or an already-registered root, which carry no redo payload),
+    commit."""
+    begin = _record(_RR, ("begin", txid) + _NO_PAYLOAD)
+    commit = _record(_RR, ("commit", txid) + _NO_PAYLOAD)
+    rext((begin, commit) if record is None else (begin, record, commit))
+
+
+def _fresh_deaths(objects_get, dls, lo, hi) -> tuple:
+    """The ``dies[lo:hi]`` entries not yet dead, as TransactionManager
+    logs them: computed before any is declared, duplicates kept."""
+    fresh = []
+    while lo < hi:
+        victim = dls[lo]
+        lo += 1
+        vobj = objects_get(victim)
+        if vobj is not None and not vobj.dead:
+            fresh.append(victim)
+    return tuple(fresh)
+
+
+def _singleton_pages(page_size: int, record_type: str) -> int:
+    """WAL page writes of one singleton (begin, op, commit, force),
+    starting from an empty tail page — which every force leaves."""
+    tail = pages = 0
+    for size in (RECORD_SIZES["begin"], RECORD_SIZES[record_type],
+                 RECORD_SIZES["commit"]):
+        tail += size
+        while tail >= page_size:
+            tail -= page_size
+            pages += 1
+    return pages + (1 if tail else 0)
+
+
+def _settle_singletons(sim, appended, txid, creates, writes, updates, roots):
+    """Write fast mode's auto-commit counters back to the log, the WAL's
+    statistics and the transaction manager."""
+    sim._auto_txid = txid
+    sim.redo_log.appended_total += appended
+    total = creates + writes + updates + roots
+    if not total:
+        return
+    tx = sim.tx
+    tx.committed += total
+    wal = tx.wal
+    if wal is None:
+        return
+    stats = wal.stats
+    by_type = stats.records_by_type
+    by_type["begin"] = by_type.get("begin", 0) + total
+    logged = total * (RECORD_SIZES["begin"] + RECORD_SIZES["commit"])
+    pages = 0
+    for name, count in (("create", creates), ("write", writes),
+                        ("update", updates), ("root", roots)):
+        if count:
+            by_type[name] = by_type.get(name, 0) + count
+            logged += count * RECORD_SIZES[name]
+            pages += count * _singleton_pages(wal.page_size, name)
+    by_type["commit"] = by_type.get("commit", 0) + total
+    stats.records += 3 * total
+    stats.bytes_logged += logged
+    stats.forces += total
+    stats.pages_written += pages
+
+
+# ----------------------------------------------------------------------
 # Batch cache: plain-list column views + run index, memoised per trace
 # ----------------------------------------------------------------------
 
@@ -223,6 +324,50 @@ def _ensure_cache(trace: CompiledTrace) -> _BatchCache:
         cache.kinds = {}
         trace._batch_cache = cache
     return cache
+
+
+# ----------------------------------------------------------------------
+# Stream window: columns fed one event at a time
+# ----------------------------------------------------------------------
+
+
+class StreamWindow(TraceColumns):
+    """Replay-ready columns for a stream that arrives one event at a time.
+
+    The long-running service's counterpart of a compiled trace and its
+    :class:`_BatchCache`: the interpreters read the window as both
+    ``trace`` and ``cache``.
+    """
+
+    __slots__ = ("kinds", "max_oid")
+
+    #: Run lengths are never known ahead (the next event has not arrived),
+    #: so every event closes its own run and bulk runs never start.
+    run_end = range(1, sys.maxsize)
+
+    def __init__(self) -> None:
+        self.kinds: dict = {}
+        self.max_oid = -1  # unknown: the fast loop grows the table itself
+        super().__init__()
+
+
+def replay_window(sim, window: StreamWindow, feed, fast: bool) -> None:
+    """Replay ``window`` on ``sim``, pulling further events through ``feed``.
+
+    Whenever the interpreter has applied every event in the window — and,
+    in fast mode, handled any collection the last one triggered — it calls
+    ``feed.pull()``, which either pushes exactly one event onto the window
+    and returns True, or returns False. On False this returns, with every
+    mirrored counter flushed back, so the caller sees the real state. The
+    feed exposes ``heap_peak``, which both modes raise to the largest
+    ``db_size`` seen after an event. ``fast`` selects :func:`_replay_fast`
+    (the caller checks :func:`_fast_eligible`) or :func:`_replay_guarded`.
+    """
+    n = len(window.ops)
+    if fast:
+        _replay_fast(sim, window, window, 0, n, 0, 0, None, feed)
+    else:
+        _replay_guarded(sim, window, window, 0, n, 0, 0, None, False, feed)
 
 
 # ----------------------------------------------------------------------
@@ -281,17 +426,28 @@ def _fast_eligible(sim) -> bool:
 
     Fast mode inlines store/buffer/sampler kernels, so every component it
     bypasses must be the stock implementation with no hooks attached.
-    Anything else — fault injection, redo auto-commit, retained event
-    series, opportunistic policies, subclassed components — runs guarded.
-    (A WAL alone is fine: it only acts inside explicit transactions, which
-    fast mode already delegates to guarded spans.)
+    Anything else — fault injection, retained event series, opportunistic
+    policies, parallel collection, subclassed components — runs guarded.
+    A redo log does not: fast mode logs auto-commit singletons inline,
+    with their WAL cost, as long as the WAL's tail page is empty (every
+    force leaves it so). Explicit transactions run as guarded spans.
+    Admission control (the service's backpressure) is the caller's
+    concern: it decides per event before applying, so it runs guarded too.
     """
     store = sim.store
     buffer = store.buffer
     sampler = sim.sampler
+    redo = sim.redo_log
+    wal = sim.tx.wal
     return (
         sim.faults is None
-        and sim.redo_log is None
+        and (redo is None or type(redo) is RedoLog)
+        and (
+            wal is None
+            or type(wal) is WriteAheadLog
+            and wal._iostats is store.iostats
+            and (redo is None or wal.pending_bytes == 0)
+        )
         # Parallel collection pumps speculative traces at the margin point
         # and validates them against store.trace_epochs; fast mode inlines
         # the mutation kernels that maintain those epochs, so parallel-mode
@@ -321,7 +477,7 @@ def _fast_eligible(sim) -> bool:
 
 
 def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
-                    until_tx_close):
+                    until_tx_close, feed=None):
     """Apply events ``[i, end)`` via the store's real methods, in exactly
     the scalar loop's order.
 
@@ -329,7 +485,9 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
     between fast and guarded spans rather than recomputed). With
     ``until_tx_close`` set, returns right after the first event that
     leaves no transaction open (fast mode's transaction-span handoff).
-    Returns the advanced ``(i, ci, wi)``.
+    With a ``feed`` (see :func:`replay_window`), reaching ``end`` pulls
+    the next event instead of returning. Returns the advanced
+    ``(i, ci, wi)``.
     """
     ops = cache.ops
     g0 = cache.arg0
@@ -361,29 +519,42 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
     )
     monotonic = time.monotonic
 
-    while i < end:
+    while True:
+        if i >= end:
+            if feed is None or not feed.pull():
+                break
+            end += 1
         if deadline is not None and monotonic() >= deadline:
             raise _timeout()
         op = ops[i]
         a = g0[i]
         sim._event_index += 1
         sim._event_applied = False
-        if op == 5:  # PHASE
-            on_phase(strings[a])
-            sim._event_applied = True
+        if op == 5 or op == 6:  # PHASE / IDLE: not sampled
+            if op == 5:
+                on_phase(strings[a])
+                sim._event_applied = True
+            else:
+                sim._event_applied = True
+                handle_idle(a)
             i += 1
-            continue
-        if op == 6:  # IDLE
-            sim._event_applied = True
-            handle_idle(a)
-            i += 1
+            if feed is None:
+                continue  # no trigger check (see _replay_fast)
+            if store.db_size > feed.heap_peak:
+                feed.heap_peak = store.db_size
+            if tx.in_transaction:
+                continue
+            while clock() >= sim._due_at:
+                collect()
+            if until_tx_close:
+                return i, ci, wi
             continue
         if op < 5:  # database event: create/access/update/write/root
             auto = redo is not None and op != 1 and not tx.in_transaction
             if auto:
                 txid = sim._auto_txid
                 sim._auto_txid = txid - 1
-                tx.begin(txid)
+                tx.begin(txid, undo=False)
                 sim._tx_start_index = sim._event_index
                 sink = tx
             else:
@@ -435,6 +606,8 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
         if note_activity is not None:
             note_activity()
         sample_event(store, iostats)
+        if feed is not None and store.db_size > feed.heap_peak:
+            feed.heap_peak = store.db_size
         if tx.in_transaction:
             continue
         while clock() >= sim._due_at:
@@ -449,15 +622,17 @@ def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
 # ----------------------------------------------------------------------
 
 
-def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
+def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline, feed=None):
     """The fused interpreter. See the module docstring for the contract.
 
     Structure: the outer loop *reloads* every mirrored piece of state into
     locals; the inner loop applies events with inlined kernels; at a run
     boundary (trigger fired / transaction span / deadline / end of trace)
     the locals *flush* back and the boundary is handled with the real
-    methods (``sim._collect``, :func:`_replay_guarded`). No closures: the
-    hot names must stay plain locals, not cells.
+    methods (``sim._collect``, :func:`_replay_guarded`). With a ``feed``
+    (see :func:`replay_window`) the end of the columns pulls the next
+    event instead, and the trace ends when the feed declines. No closures
+    or comprehensions: the hot names must stay plain locals, not cells.
     """
     ops = cache.ops
     g0 = cache.arg0
@@ -483,6 +658,23 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
     table = store.placements
     rem = store.remembered
     garbage = store.garbage
+    tx = sim.tx
+    # Stream position of column 0 (columns of a feed window are recycled).
+    ebase = sim._event_index + 1 - i
+
+    # Auto-commit (redo log attached): per-singleton WAL page writes by
+    # operation type; zero without a WAL.
+    redo = sim.redo_log
+    auto = redo is not None
+    wal = tx.wal
+    if auto and wal is not None:
+        wp_cr = _singleton_pages(wal.page_size, "create")
+        wp_wr = _singleton_pages(wal.page_size, "write")
+        wp_up = _singleton_pages(wal.page_size, "update")
+        wp_ro = _singleton_pages(wal.page_size, "root")
+    else:
+        wp_cr = wp_wr = wp_up = wp_ro = 0
+    records = rext = None
 
     # Dense placement columns. reserve() grows the arrays in place (their
     # identity is stable), so pre-sizing for the largest created oid makes
@@ -492,7 +684,6 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
     tparts = table.parts
     toffs = table.offs
     tsizes = table.sizes
-    dense = len(tparts)
 
     objects = store.objects
     objects_get = objects.get
@@ -526,6 +717,7 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
 
     while True:
         # ---- reload: mirror mutable state into locals ----------------
+        dense = len(tparts)  # fed windows grow the table as oids arrive
         next_oid = store._next_oid
         alloc_bytes = store._allocated_bytes
         alloc_clock = store.bytes_allocated_total
@@ -561,6 +753,12 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
         else:
             base_kind = 2
         due = sim._due_at
+        if auto:
+            records = redo.records
+            rext = records.extend
+            logged0 = len(records)
+        atx = sim._auto_txid
+        n_cr = n_wr = n_up = n_ro = 0
         dbsz = store._physical_bytes if phys_mode else alloc_bytes
         garb = tot_gen - tot_coll
         gf = garb / dbsz if dbsz else 0.0
@@ -589,8 +787,13 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
         timed_out = False
         budget = _DEADLINE_STRIDE
 
+        completed = False
         try:
-            while i < n:
+            while True:
+                if i >= n:
+                    if feed is None or not feed.pull():
+                        break
+                    n += 1
                 op = ops[i]
                 a = g0[i]
                 if op == 3:  # WRITE
@@ -706,6 +909,18 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                     lo = wds[wi]
                     hi = wds[wi + 1]
                     wi += 1
+                    if auto:
+                        died = (
+                            _fresh_deaths(objects_get, dls, lo, hi)
+                            if lo != hi else ()
+                        )
+                        _auto_commit(rext, atx, _record(_RR, (
+                            "write", atx, src, None, None, (), slot, tgt,
+                            died, None,
+                        )))
+                        atx -= 1
+                        n_wr += 1
+                        app_w += wp_wr
                     if lo != hi:
                         while lo < hi:
                             victim = dls[lo]
@@ -798,6 +1013,16 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                             g_min = gf
                         if gf > g_max:
                             g_max = gf
+                        if dirty and auto:
+                            # One singleton per update; its WAL writes do
+                            # not move this run's frozen trigger clock.
+                            k = cnt
+                            while k:
+                                _auto_commit(rext, atx)
+                                atx -= 1
+                                k -= 1
+                            n_up += cnt
+                            app_w += cnt * wp_up
                         budget -= cnt
                         if budget <= 0:
                             budget = _DEADLINE_STRIDE
@@ -842,6 +1067,11 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                             npages += 1
                             pages[pg] = dirty
                             mru_dirty = dirty
+                    if dirty and auto:
+                        _auto_commit(rext, atx)
+                        atx -= 1
+                        n_up += 1
+                        app_w += wp_up
 
                 elif op == 0:  # CREATE
                     oid = a
@@ -920,6 +1150,7 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                         tcount += 1
                     else:
                         table.put(oid, pid, off, size)
+                        dense = len(tparts)  # put may have grown the table
                     unlinked.add(oid)
                     if cur_pins is None:
                         cur_pins = {oid}
@@ -1005,6 +1236,14 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                                     pd3[oid] = pd3.get(oid, 0) + 1
                                 rem_edges += 1
                                 rem_rem += 1
+                    if auto:
+                        _auto_commit(rext, atx, _record(_RR, (
+                            "create", atx, oid, size, kind,
+                            tuple(obj.pointers.items()), None, None, (), None,
+                        )))
+                        atx -= 1
+                        n_cr += 1
+                        app_w += wp_cr
                     if not phys_mode:
                         dbsz = alloc_bytes
                     gf = garb / dbsz if dbsz else 0.0
@@ -1012,6 +1251,13 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                 elif op == 4:  # ROOT
                     if objects_get(a) is None:
                         raise StoreError(f"unknown object {a}")
+                    if auto:
+                        _auto_commit(rext, atx, None if a in roots else _record(
+                            _RR, ("root", atx, a) + _NO_PAYLOAD[1:]
+                        ))
+                        atx -= 1
+                        n_ro += 1
+                        app_w += wp_ro
                     roots.add(a)
                     rp = tparts[a] if 0 <= a < dense else table.part_of(a)
                     rr = rem_roots.get(rp)
@@ -1025,15 +1271,28 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                         if pd is not None:
                             pd.discard(a)
 
-                elif op == 5:  # PHASE — not sampled, no trigger check
-                    sampler.phase = name = strings[a]
-                    sampler.phase_boundaries[name] = ev_i
+                elif op == 5 or op == 6:  # PHASE / IDLE: not sampled
+                    if op == 5:
+                        sampler.phase = name = strings[a]
+                        sampler.phase_boundaries[name] = ev_i
+                    # (IDLE does nothing here: opportunistic policies run
+                    # guarded.) Trace replay never checks the trigger after
+                    # these events, since nothing moves its clock between
+                    # events. The service checks after every event: its
+                    # checkpoints write WAL pages between events.
                     i += 1
-                    continue
-
-                elif op == 6:  # IDLE — opportunistic policies run guarded
-                    i += 1
-                    continue
+                    if feed is None:
+                        continue
+                    if base_kind == 0:
+                        if po < due:
+                            continue
+                    elif base_kind == 1:
+                        if alloc_clock < due:
+                            continue
+                    elif app_r + app_w < due:
+                        continue
+                    fired = True
+                    break
 
                 else:  # BEGIN/COMMIT/ABORT: hand the span to guarded mode
                     span = True
@@ -1101,11 +1360,13 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
                     if deadline is not None and monotonic() >= deadline:
                         timed_out = True
                         break
-        except BaseException:
-            # Error flush: event i failed mid-application. Counters are
-            # written back so the store stays observationally consistent
-            # (scalar error-state parity on everything except page touches
-            # of a partially applied bulk run).
+            completed = True
+        finally:
+            # ---- flush: write mirrored locals back -------------------
+            # Also on error (event i failed mid-application), so the store
+            # stays observationally consistent: scalar error-state parity
+            # on everything except page touches of a partially applied bulk
+            # run and the auto-commit records of the failing event.
             if cur_pid >= 0:
                 cur_part.fill = cur_fill
             store._next_oid = next_oid
@@ -1133,40 +1394,16 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
             g.total = g_total
             g.minimum = g_min
             g.maximum = g_max
-            sim._event_index = i
-            sim._event_applied = False
-            raise
-
-        # ---- flush: write mirrored locals back -----------------------
-        if cur_pid >= 0:
-            cur_part.fill = cur_fill
-        store._next_oid = next_oid
-        store._allocated_bytes = alloc_bytes
-        store.bytes_allocated_total = alloc_clock
-        store.pointer_overwrites = po
-        store.pointer_stores = pstores
-        garbage.total_generated = tot_gen
-        if tcount:
-            table._count += tcount
-        bstats.hits = hits
-        bstats.misses = misses
-        app_led.reads = app_r
-        app_led.writes = app_w
-        rem.edges = rem_edges
-        rem.remembers_total = rem_rem
-        rem.forgets_total = rem_forg
-        sampler.event_index = ev_i
-        sampler._significant_started = sig
-        ga.count = ga_count
-        ga.total = ga_total
-        ga.minimum = ga_min
-        ga.maximum = ga_max
-        g.count = g_count
-        g.total = g_total
-        g.minimum = g_min
-        g.maximum = g_max
-        sim._event_index = i - 1
-        sim._event_applied = True
+            if auto:
+                _settle_singletons(
+                    sim, len(records) - logged0, atx, n_cr, n_wr, n_up, n_ro
+                )
+            if feed is not None and dbsz > feed.heap_peak:
+                # db_size only grows between flushes in fast mode, so the
+                # flush-time value is the segment's peak.
+                feed.heap_peak = dbsz
+            sim._event_index = ebase + i - (1 if completed else 0)
+            sim._event_applied = completed
 
         if timed_out:
             raise _timeout()
@@ -1178,7 +1415,8 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline):
             continue
         if span:
             i, ci, wi = _replay_guarded(
-                sim, trace, cache, i, n, ci, wi, deadline, True
+                sim, trace, cache, i, n, ci, wi, deadline, True, feed
             )
+            n = len(ops)  # the span may have pulled events from the feed
             continue
         return

@@ -540,7 +540,7 @@ class Simulation:
             if mutating:
                 txid = self._auto_txid
                 self._auto_txid -= 1
-                tx.begin(txid)
+                tx.begin(txid, undo=False)
                 self._tx_start_index = self._event_index
                 self._dispatch(event, tx)
                 tx.commit(txid)

@@ -72,7 +72,8 @@ class Transaction:
 
     txid: int
     state: TransactionState = TransactionState.ACTIVE
-    undo_log: list[_UndoRecord] = field(default_factory=list)
+    #: ``None`` for auto-commit singletons, which keep no undo records.
+    undo_log: Optional[list[_UndoRecord]] = field(default_factory=list)
     operations: int = 0
 
     @property
@@ -127,7 +128,14 @@ class TransactionManager:
         if self.fault_hook is not None:
             self.fault_hook(site)
 
-    def begin(self, txid: Optional[int] = None) -> Transaction:
+    def begin(self, txid: Optional[int] = None, *, undo: bool = True) -> Transaction:
+        """Open a transaction.
+
+        ``undo=False`` opens an auto-commit singleton: its caller commits
+        it right after its one operation, so it keeps no undo records and
+        cannot be aborted. (A crash inside it loses it like any uncommitted
+        transaction: recovery skips it and the stream re-executes it.)
+        """
         self._fire("tx.begin")
         if self.in_transaction:
             raise TransactionError(
@@ -137,7 +145,7 @@ class TransactionManager:
         if txid is None:
             txid = self._next_txid
         self._next_txid = max(self._next_txid, txid + 1)
-        self.current = Transaction(txid=txid)
+        self.current = Transaction(txid=txid, undo_log=[] if undo else None)
         self._log("begin")
         if self.redo_log is not None:
             self.redo_log.begin(txid)
@@ -160,7 +168,8 @@ class TransactionManager:
         if self.redo_log is not None:
             self.redo_log.commit(txn.txid)
         txn.state = TransactionState.COMMITTED
-        txn.undo_log.clear()
+        if txn.undo_log:
+            txn.undo_log.clear()
         self.current = None
         self.committed += 1
         return txn
@@ -168,6 +177,10 @@ class TransactionManager:
     def abort(self, txid: Optional[int] = None) -> Transaction:
         """Physically undo every operation of the active transaction."""
         txn = self._require_active(txid)
+        if txn.undo_log is None:
+            raise TransactionError(
+                f"auto-commit transaction {txn.txid} keeps no undo log"
+            )
         self._fire("tx.abort")
         for record in reversed(txn.undo_log):
             self._apply_undo(record)
@@ -205,7 +218,8 @@ class TransactionManager:
     ) -> ObjectId:
         txn = self._require_active(None)
         new_oid = self.store.create(size=size, kind=kind, pointers=pointers, oid=oid)
-        txn.undo_log.append(_UndoCreate(oid=new_oid))
+        if txn.undo_log is not None:
+            txn.undo_log.append(_UndoCreate(oid=new_oid))
         txn.operations += 1
         self._log("create")
         if self.redo_log is not None:
@@ -226,37 +240,40 @@ class TransactionManager:
         dies: Sequence[ObjectId] = (),
     ) -> None:
         txn = self._require_active(None)
-        src_obj = self.store.objects.get(src)
+        store = self.store
+        objects = store.objects
+        src_obj = objects.get(src)
         if src_obj is None:
             raise TransactionError(f"unknown object {src}")
-        slot_existed = slot in src_obj.pointers
-        old_target = src_obj.pointers.get(slot)
-        overwrote = old_target is not None
-        fgs_partition = None
-        if overwrote:
-            placement = self.store.placements.get(old_target)
-            if placement is not None:
-                fgs_partition = placement.partition
+        undo = txn.undo_log
+        if undo is not None:
+            slot_existed = slot in src_obj.pointers
+            old_target = src_obj.pointers.get(slot)
+            overwrote = old_target is not None
+            fgs_partition = None
+            if overwrote:
+                placement = store.placements.get(old_target)
+                if placement is not None:
+                    fgs_partition = placement.partition
         # Only record deaths this write actually declares (idempotence of
         # _declare_dead means already-dead victims must not be resurrected
         # twice on undo).
         fresh_deaths = tuple(
-            oid
-            for oid in dies
-            if oid in self.store.objects and not self.store.objects[oid].dead
+            oid for oid in dies if oid in objects and not objects[oid].dead
         )
-        self.store.write_pointer(src, slot, target, dies=dies)
-        txn.undo_log.append(
-            _UndoPointerWrite(
-                src=src,
-                slot=slot,
-                old_target=old_target,
-                slot_existed=slot_existed,
-                overwrote=overwrote,
-                fgs_partition=fgs_partition,
-                died=fresh_deaths,
+        store.write_pointer(src, slot, target, dies=dies)
+        if undo is not None:
+            undo.append(
+                _UndoPointerWrite(
+                    src=src,
+                    slot=slot,
+                    old_target=old_target,
+                    slot_existed=slot_existed,
+                    overwrote=overwrote,
+                    fgs_partition=fgs_partition,
+                    died=fresh_deaths,
+                )
             )
-        )
         txn.operations += 1
         self._log("write")
         if self.redo_log is not None:
@@ -278,7 +295,7 @@ class TransactionManager:
         txn = self._require_active(None)
         already_root = oid in self.store.roots
         self.store.register_root(oid)
-        if not already_root:
+        if not already_root and txn.undo_log is not None:
             txn.undo_log.append(_UndoRoot(oid=oid))
         txn.operations += 1
         self._log("root")

@@ -35,7 +35,7 @@ pre-crash process had.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.object_model import ObjectId, ObjectKind
@@ -121,12 +121,15 @@ def build_checkpoint(store: ObjectStore, event_index: int) -> CheckpointSnapshot
     )
 
 
-@dataclass(frozen=True)
-class RedoRecord:
+class RedoRecord(NamedTuple):
     """One logical log record.
 
     ``kind`` is one of begin/commit/abort/create/write/root/checkpoint; the
-    payload fields used depend on the kind.
+    payload fields used depend on the kind. A named tuple rather than a
+    frozen dataclass: records are built once per logged operation (three
+    per auto-committed event), and tuple construction costs a fifth to a
+    third as much while staying immutable, equality-comparable and
+    picklable.
     """
 
     kind: str
@@ -150,6 +153,11 @@ class RedoLog:
     whole lifetime (they survive checkpoint truncation), so tests and soak
     drills can assert that post-checkpoint recovery replayed only the
     suffix logged since the last checkpoint.
+
+    The log remembers where its last checkpoint record sits, so
+    :attr:`suffix_length` is O(1). Add checkpoint records through
+    :meth:`append` or :meth:`install_checkpoint`; other records may also be
+    appended to ``records`` directly (the batched interpreter does).
     """
 
     records: list[RedoRecord] = field(default_factory=list)
@@ -160,10 +168,25 @@ class RedoLog:
     #: Lifetime checkpoints installed (survives crash/recover cycles that
     #: share one log, so soak drills can count checkpoints drill-wide).
     checkpoints_installed: int = 0
+    #: Index just past the last checkpoint record (0 when there is none).
+    _suffix_start: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._locate_checkpoint()
+
+    def _locate_checkpoint(self) -> None:
+        records = self.records
+        for index in range(len(records) - 1, -1, -1):
+            if records[index].kind == "checkpoint":
+                self._suffix_start = index + 1
+                return
+        self._suffix_start = 0
 
     def append(self, record: RedoRecord) -> None:
         self.records.append(record)
         self.appended_total += 1
+        if record.kind == "checkpoint":
+            self._suffix_start = len(self.records)
 
     def install_checkpoint(self, snapshot: CheckpointSnapshot) -> int:
         """Truncate the log down to one checkpoint record.
@@ -175,35 +198,31 @@ class RedoLog:
         dropped = len(self.records)
         self.truncated_total += dropped
         self.records = []
-        self.append(RedoRecord(kind="checkpoint", txid=0, checkpoint=snapshot))
+        self.append(RedoRecord("checkpoint", 0, checkpoint=snapshot))
         self.checkpoints_installed += 1
         return dropped
 
     def last_checkpoint(self) -> Optional[CheckpointSnapshot]:
         """The most recent installed checkpoint, if any."""
-        for record in reversed(self.records):
-            if record.kind == "checkpoint":
-                return record.checkpoint
+        if self._suffix_start:
+            return self.records[self._suffix_start - 1].checkpoint
         return None
 
     @property
     def suffix_length(self) -> int:
         """Records logged since the last checkpoint (whole log if none)."""
-        for index in range(len(self.records) - 1, -1, -1):
-            if self.records[index].kind == "checkpoint":
-                return len(self.records) - index - 1
-        return len(self.records)
+        return len(self.records) - self._suffix_start
 
     # Convenience constructors used by LoggingTransactionManager.
 
     def begin(self, txid: int) -> None:
-        self.append(RedoRecord(kind="begin", txid=txid))
+        self.append(RedoRecord("begin", txid))
 
     def commit(self, txid: int) -> None:
-        self.append(RedoRecord(kind="commit", txid=txid))
+        self.append(RedoRecord("commit", txid))
 
     def abort(self, txid: int) -> None:
-        self.append(RedoRecord(kind="abort", txid=txid))
+        self.append(RedoRecord("abort", txid))
 
     def create(
         self,
@@ -214,14 +233,7 @@ class RedoLog:
         pointers: tuple[tuple[str, Optional[ObjectId]], ...],
     ) -> None:
         self.append(
-            RedoRecord(
-                kind="create",
-                txid=txid,
-                oid=oid,
-                size=size,
-                object_kind=object_kind,
-                pointers=pointers,
-            )
+            RedoRecord("create", txid, oid, size, object_kind, pointers)
         )
 
     def write(
@@ -233,18 +245,11 @@ class RedoLog:
         dies: Sequence[ObjectId],
     ) -> None:
         self.append(
-            RedoRecord(
-                kind="write",
-                txid=txid,
-                oid=src,
-                slot=slot,
-                target=target,
-                dies=tuple(dies),
-            )
+            RedoRecord("write", txid, src, None, None, (), slot, target, tuple(dies))
         )
 
     def root(self, txid: int, oid: ObjectId) -> None:
-        self.append(RedoRecord(kind="root", txid=txid, oid=oid))
+        self.append(RedoRecord("root", txid, oid))
 
     def committed_txids(self) -> set[int]:
         return {r.txid for r in self.records if r.kind == "commit"}
@@ -269,6 +274,7 @@ class RedoLog:
         ]
         dropped = before - len(self.records)
         self.truncated_total += dropped
+        self._locate_checkpoint()
         return dropped
 
 

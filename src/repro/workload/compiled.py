@@ -399,6 +399,117 @@ class CompiledTrace:
         return total
 
 
+class TraceColumns:
+    """Growable plain-list columns in :class:`CompiledTrace`'s layout.
+
+    :meth:`push` encodes one event (exact event classes only, like the
+    compiled format); :meth:`compile` freezes the columns into a
+    :class:`CompiledTrace`. The long-running service also replays these
+    columns directly as events arrive (``repro.sim.batch.StreamWindow``),
+    recycling them with :meth:`clear`, which keeps the string table so
+    string indices stay valid.
+    """
+
+    __slots__ = (
+        "ops", "arg0", "arg1", "strings", "_intern",
+        "create_kind", "create_ptr_start", "ptr_slots", "ptr_targets",
+        "write_slot", "write_dies_start", "dies",
+    )
+
+    def __init__(self) -> None:
+        self.strings: list[str] = []
+        self._intern: dict[str, int] = {}
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every event (the string table stays)."""
+        self.ops: list[int] = []
+        self.arg0: list[int] = []
+        self.arg1: list[int] = []
+        self.create_kind: list[int] = []
+        self.create_ptr_start = [0]
+        self.ptr_slots: list[int] = []
+        self.ptr_targets: list[int] = []
+        self.write_slot: list[int] = []
+        self.write_dies_start = [0]
+        self.dies: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def _string(self, text: str) -> int:
+        index = self._intern.get(text)
+        if index is None:
+            index = self._intern[text] = len(self.strings)
+            self.strings.append(text)
+        return index
+
+    def push(self, event: TraceEvent) -> None:
+        """Append one event's encoding."""
+        cls = type(event)
+        if cls is AccessEvent:
+            self.ops.append(_OP_ACCESS)
+            self.arg0.append(event.oid)
+            self.arg1.append(0)
+        elif cls is IdleEvent:
+            self.ops.append(_OP_IDLE)
+            self.arg0.append(event.ticks)
+            self.arg1.append(0)
+        elif cls is CreateEvent:
+            self.ops.append(_OP_CREATE)
+            self.arg0.append(event.oid)
+            self.arg1.append(event.size)
+            self.create_kind.append(self._string(event.kind.value))
+            for slot, target in event.pointers:
+                self.ptr_slots.append(self._string(slot))
+                self.ptr_targets.append(_NONE if target is None else target)
+            self.create_ptr_start.append(len(self.ptr_slots))
+        elif cls is PointerWriteEvent:
+            self.ops.append(_OP_WRITE)
+            self.arg0.append(event.src)
+            self.arg1.append(_NONE if event.target is None else event.target)
+            self.write_slot.append(self._string(event.slot))
+            self.dies.extend(event.dies)
+            self.write_dies_start.append(len(self.dies))
+        elif cls is UpdateEvent:
+            self.ops.append(_OP_UPDATE)
+            self.arg0.append(event.oid)
+            self.arg1.append(0)
+        elif cls is RootEvent:
+            self.ops.append(_OP_ROOT)
+            self.arg0.append(event.oid)
+            self.arg1.append(0)
+        elif cls is PhaseMarkerEvent:
+            self.ops.append(_OP_PHASE)
+            self.arg0.append(self._string(event.name))
+            self.arg1.append(0)
+        elif cls is BeginTransactionEvent:
+            self.ops.append(_OP_BEGIN)
+            self.arg0.append(event.txid)
+            self.arg1.append(0)
+        elif cls is CommitTransactionEvent:
+            self.ops.append(_OP_COMMIT)
+            self.arg0.append(event.txid)
+            self.arg1.append(0)
+        elif cls is AbortTransactionEvent:
+            self.ops.append(_OP_ABORT)
+            self.arg0.append(event.txid)
+            self.arg1.append(0)
+        else:
+            raise TypeError(f"cannot compile unknown trace event {event!r}")
+
+    def compile(self) -> CompiledTrace:
+        """The pushed events as an immutable :class:`CompiledTrace`."""
+        return CompiledTrace(
+            array("b", self.ops), array("q", self.arg0), array("q", self.arg1),
+            list(self.strings),
+            array("q", self.create_kind), array("q", self.create_ptr_start),
+            array("q", self.ptr_slots), array("q", self.ptr_targets),
+            array("q", self.write_slot), array("q", self.write_dies_start),
+            array("q", self.dies),
+        )
+
+
 def compile_trace(events: Iterable[TraceEvent]) -> CompiledTrace:
     """Materialise an event stream into a :class:`CompiledTrace`.
 
@@ -406,82 +517,8 @@ def compile_trace(events: Iterable[TraceEvent]) -> CompiledTrace:
     equal to the original stream (tests assert this property under
     Hypothesis-generated traces).
     """
-    ops = array("b")
-    arg0 = array("q")
-    arg1 = array("q")
-    strings: list[str] = []
-    intern: dict[str, int] = {}
-    create_kind = array("q")
-    create_ptr_start = array("q", [0])
-    ptr_slots = array("q")
-    ptr_targets = array("q")
-    write_slot = array("q")
-    write_dies_start = array("q", [0])
-    dies = array("q")
-
-    def intern_string(text: str) -> int:
-        index = intern.get(text)
-        if index is None:
-            index = len(strings)
-            intern[text] = index
-            strings.append(text)
-        return index
-
+    columns = TraceColumns()
+    push = columns.push
     for event in events:
-        cls = type(event)
-        if cls is AccessEvent:
-            ops.append(_OP_ACCESS)
-            arg0.append(event.oid)
-            arg1.append(0)
-        elif cls is PointerWriteEvent:
-            ops.append(_OP_WRITE)
-            arg0.append(event.src)
-            arg1.append(_NONE if event.target is None else event.target)
-            write_slot.append(intern_string(event.slot))
-            dies.extend(event.dies)
-            write_dies_start.append(len(dies))
-        elif cls is CreateEvent:
-            ops.append(_OP_CREATE)
-            arg0.append(event.oid)
-            arg1.append(event.size)
-            create_kind.append(intern_string(event.kind.value))
-            for slot, target in event.pointers:
-                ptr_slots.append(intern_string(slot))
-                ptr_targets.append(_NONE if target is None else target)
-            create_ptr_start.append(len(ptr_slots))
-        elif cls is UpdateEvent:
-            ops.append(_OP_UPDATE)
-            arg0.append(event.oid)
-            arg1.append(0)
-        elif cls is RootEvent:
-            ops.append(_OP_ROOT)
-            arg0.append(event.oid)
-            arg1.append(0)
-        elif cls is PhaseMarkerEvent:
-            ops.append(_OP_PHASE)
-            arg0.append(intern_string(event.name))
-            arg1.append(0)
-        elif cls is IdleEvent:
-            ops.append(_OP_IDLE)
-            arg0.append(event.ticks)
-            arg1.append(0)
-        elif cls is BeginTransactionEvent:
-            ops.append(_OP_BEGIN)
-            arg0.append(event.txid)
-            arg1.append(0)
-        elif cls is CommitTransactionEvent:
-            ops.append(_OP_COMMIT)
-            arg0.append(event.txid)
-            arg1.append(0)
-        elif cls is AbortTransactionEvent:
-            ops.append(_OP_ABORT)
-            arg0.append(event.txid)
-            arg1.append(0)
-        else:
-            raise TypeError(f"cannot compile unknown trace event {event!r}")
-
-    return CompiledTrace(
-        ops, arg0, arg1, strings,
-        create_kind, create_ptr_start, ptr_slots, ptr_targets,
-        write_slot, write_dies_start, dies,
-    )
+        push(event)
+    return columns.compile()

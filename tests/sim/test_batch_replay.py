@@ -22,6 +22,7 @@ from repro.events import (
     AccessEvent,
     CreateEvent,
     PointerWriteEvent,
+    RootEvent,
     UpdateEvent,
 )
 from repro.faults.drill import state_digest
@@ -30,6 +31,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.oo7.config import TINY
 from repro.service.server import GcService, ServiceConfig
 from repro.service.stream import grammar_stream, tenant_stream
+from repro.sim.batch import _fast_eligible
 from repro.sim.cache import spec_fingerprint
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.sim.spec import (
@@ -44,6 +46,7 @@ from repro.storage.heap import StoreConfig, StoreError
 from repro.tx.recovery import RedoLog, recover
 from repro.workload.compiled import compile_trace
 from repro.workload.tenants import make_profile, tenant_mix
+from repro.workload.transactional import TransactionalSpec, TransactionalWorkload
 
 # ---------------------------------------------------------------- helpers
 
@@ -213,6 +216,127 @@ def test_crash_drill_resume_matches_scalar():
     assert any(0 < i < len(ops) and ops[i] == ops[i - 1] for i in resumes_b), (
         "no resume index landed inside an opcode run"
     )
+
+
+# ------------------------------------------------- durable (redo + WAL)
+
+#: Durable configs. A redo log auto-commits every mutation outside an
+#: explicit transaction; fast mode logs those singletons inline.
+_DURABLE = (
+    {"enable_redo_log": True, "enable_wal": True},
+    {"enable_redo_log": True},
+    {"enable_wal": True},
+)
+
+
+def _durable_state(sim):
+    log = sim.redo_log
+    return (
+        None if log is None else (log.records, log.appended_total),
+        None if sim.tx.wal is None else sim.tx.wal.stats,
+        sim.tx.committed,
+        sim.tx.aborted,
+        sim._auto_txid,
+    )
+
+
+def _assert_durable_equivalent(spec, events, durable, policy=None):
+    """Scalar == batched on summary, state, redo log, WAL and tx counters,
+    with the batched run in fast mode."""
+    if policy is not None:
+        spec = dataclasses.replace(spec, policy=policy)
+    spec = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, **durable))
+
+    def outcome(replayable, replay):
+        try:
+            sim, res = _run(spec, replayable, replay=replay)
+        except StoreError as err:
+            return ("error", type(err).__name__, str(err))
+        return (
+            "ok",
+            pickle.dumps(res.summary),
+            state_digest(sim.store),
+            _durable_state(sim),
+        )
+
+    probe = Simulation(policy=build_policy(spec.policy, 0), config=spec.sim)
+    assert _fast_eligible(probe)
+    assert outcome(compile_trace(events), "batched") == outcome(events, "scalar")
+
+
+def _transactional_events():
+    spec = TransactionalSpec(transactions=30, abort_probability=0.4)
+    return list(TransactionalWorkload(spec, seed=3, initial_clusters=10).events())
+
+
+@pytest.mark.parametrize("durable", _DURABLE, ids=lambda d: "+".join(sorted(d)))
+@pytest.mark.parametrize(
+    "policy",
+    [
+        PolicySpec("fixed", {"overwrites_per_collection": 40.0}),
+        PolicySpec("saio", {"io_fraction": 0.1}),  # app-I/O clock: WAL moves it
+    ],
+    ids=lambda p: p.kind,
+)
+@pytest.mark.parametrize("workload", ["oo7", "grammar", "tenant", "transactional"])
+def test_durable_replay_is_fast_and_identical(workload, policy, durable):
+    if workload == "oo7":
+        events = list(build_workload(_spec().workload, 0))
+    elif workload == "grammar":
+        stream = grammar_stream(make_profile("oltp-churn", scale=0.2), seed=11)
+        events = list(itertools.islice(stream.events_from(), 4000))
+    elif workload == "tenant":
+        config = tenant_mix(["oltp-churn", "read-browse"], scale=0.2)
+        events = list(itertools.islice(tenant_stream(config, seed=5).events_from(), 4000))
+    else:
+        events = _transactional_events()
+    _assert_durable_equivalent(_spec(rate=40.0), events, durable, policy)
+
+
+@st.composite
+def _update_heavy_traces(draw):
+    """Objects hung off one root, then runs of accesses and updates (long
+    enough for the bulk kernels) mixed with repeated root registrations
+    and pointer writes whose ``dies`` lists may repeat a victim."""
+    n = draw(st.integers(min_value=4, max_value=30))
+    events = [CreateEvent(oid=1, size=64)]
+    events.append(RootEvent(oid=1))
+    for oid in range(2, n + 1):
+        events.append(CreateEvent(oid=oid, size=draw(st.integers(40, 900))))
+        events.append(PointerWriteEvent(src=1, slot=f"s{oid}", target=oid))
+    events.append(RootEvent(oid=1))  # already a root: WAL record, no redo
+    live = list(range(2, n + 1))
+    steps = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["access", "update", "update", "kill", "root"]),
+            st.integers(min_value=0, max_value=10_000),
+            st.integers(min_value=1, max_value=12),
+        ),
+        max_size=40,
+    ))
+    for kind, pick, length in steps:
+        if not live:
+            break
+        oid = live[pick % len(live)]
+        if kind == "access":
+            events.extend(AccessEvent(oid=oid) for _ in range(length))
+        elif kind == "update":
+            events.extend(UpdateEvent(oid=oid) for _ in range(length))
+        elif kind == "root":
+            events.append(RootEvent(oid=oid))
+        else:
+            live.remove(oid)
+            dies = (oid,) * (1 + length % 2)
+            events.append(
+                PointerWriteEvent(src=1, slot=f"s{oid}", target=None, dies=dies)
+            )
+    return events
+
+
+@given(events=_update_heavy_traces(), durable=st.sampled_from(_DURABLE))
+@settings(max_examples=40, deadline=None)
+def test_durable_bulk_runs_log_every_singleton(events, durable):
+    _assert_durable_equivalent(_spec(rate=8.0), events, durable)
 
 
 # ------------------------------------------------- numpy independence
