@@ -75,8 +75,8 @@ class CompactionPlan:
     #: when numpy is present, plain lists otherwise).
     dense_oids: Any
     dense_offs: Any
-    #: Overflow-dict survivors: ``(oid, (pid, new_offset, size))``.
-    overflow: list[tuple[ObjectId, tuple[int, int, int]]]
+    #: Overflow-dict survivors: ``oid -> (pid, new_offset, size)``.
+    overflow: dict[ObjectId, tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -537,11 +537,12 @@ class ObjectStore:
         """Precompute what :meth:`compact_partition` derives from state.
 
         Read-only — safe to run on a speculative-trace worker thread while
-        replay continues. The survivor layout reproduces the inline bump
-        loop exactly (prefix sums of sizes in copy order); the reclaimed
-        list iterates the residents set just as the inline path would, so
-        applying the plan against unchanged epochs leaves every structure
-        with an identical mutation history.
+        replay continues. The survivor layout comes from the same
+        :meth:`_lay_out` the inline path runs, written into private dicts
+        instead of the placement table; the reclaimed list iterates the
+        residents set just as the inline path would, so applying the plan
+        against unchanged epochs leaves every structure with an identical
+        mutation history.
         """
         partition = self.partitions[pid]
         survivor_set = set(survivors)
@@ -551,30 +552,23 @@ class ObjectStore:
                 f"survivors {sorted(unknown)} are not residents of partition {pid}"
             )
         reclaimed = [oid for oid in partition.residents if oid not in survivor_set]
-        objects = self.objects
-        dense_oids: list[int] = []
-        dense_offs: list[int] = []
-        overflow: list[tuple[ObjectId, tuple[int, int, int]]] = []
-        cursor = 0
-        for oid in survivors:
-            size = objects[oid].size
-            # Classification by DENSE_CEILING (not current column length)
-            # is stable: a resident survivor already has its placement in
-            # whichever representation its oid selects.
-            if 0 <= oid < DENSE_CEILING:
-                dense_oids.append(oid)
-                dense_offs.append(cursor)
-            else:
-                overflow.append((oid, (pid, cursor, size)))
-            cursor += size
+        offsets: dict[ObjectId, int] = {}
+        overflow: dict[ObjectId, tuple[int, int, int]] = {}
+        fill = self._lay_out(survivors, offsets, overflow)
+        dense_oids: Any
+        dense_offs: Any
         if _np is not None:
-            dense_oids = _np.asarray(dense_oids, dtype=_np.int64)
-            dense_offs = _np.asarray(dense_offs, dtype=_np.int64)
+            count = len(offsets)
+            dense_oids = _np.fromiter(offsets, dtype=_np.int64, count=count)
+            dense_offs = _np.fromiter(offsets.values(), dtype=_np.int64, count=count)
+        else:
+            dense_oids = list(offsets)
+            dense_offs = list(offsets.values())
         return CompactionPlan(
             survivors=list(survivors),
             survivor_set=survivor_set,
             reclaimed=reclaimed,
-            fill=cursor,
+            fill=fill,
             dense_oids=dense_oids,
             dense_offs=dense_offs,
             overflow=overflow,
@@ -592,13 +586,16 @@ class ObjectStore:
         of bytes reclaimed. The caller (the collector) is responsible for
         charging I/O and invalidating buffered pages.
 
+        Survivors keep their partition and size through a compaction, so
+        relocation only rewrites offsets: the residents set is refilled in
+        copy order and :meth:`_lay_out` scatters the new offsets straight
+        into the placement columns.
+
         ``plan`` — a :class:`CompactionPlan` built by :meth:`plan_compaction`
         from these exact survivors and *validated against unchanged trace
         epochs* — skips the in-pause re-derivation of the survivor set,
-        reclaimed list and layout. Survivors keep their partition and size
-        columns through a compaction, so applying the plan reduces the
-        relocation loop to an offset scatter; the result is byte-identical
-        to the inline path.
+        reclaimed list and layout; the result is byte-identical to the
+        inline path.
         """
         partition = self.partitions[pid]
         self.compaction_epoch += 1
@@ -614,25 +611,17 @@ class ObjectStore:
         else:
             survivors = plan.survivors
             reclaimed = plan.reclaimed
-        reclaimed_bytes = 0
-        for oid in reclaimed:
-            reclaimed_bytes += self._reclaim(oid, pid)
+        reclaimed_bytes = self._reclaim_all(pid, reclaimed)
 
         fill_before = partition.fill
         partition.reset_for_compaction()
+        partition.residents.update(survivors)
         placements = self.placements
         if plan is None:
-            objects = self.objects
-            for oid in survivors:
-                size = objects[oid].size
-                placements.put(oid, pid, partition.bump(oid, size), size)
+            partition.fill = self._lay_out(
+                survivors, placements.offs, placements.overflow
+            )
         else:
-            # Same residents insertion history as the bump loop (copy
-            # order), then the precomputed offsets in one scatter. Dense
-            # survivors' partition and size columns are already correct.
-            residents_add = partition.residents.add
-            for oid in survivors:
-                residents_add(oid)
             partition.fill = plan.fill
             if _np is not None and len(plan.dense_oids):
                 _np.frombuffer(placements.offs, dtype=_np.int64)[
@@ -642,8 +631,7 @@ class ObjectStore:
                 offs = placements.offs
                 for oid, off in zip(plan.dense_oids, plan.dense_offs):
                     offs[oid] = off
-            for oid, entry in plan.overflow:
-                placements.overflow[oid] = entry
+            placements.overflow.update(plan.overflow)
         # The allocated-bytes ledger shrinks by the whole recovered extent:
         # reclaimed objects plus any holes left by transaction rollbacks.
         self._allocated_bytes -= fill_before - partition.fill
@@ -660,20 +648,39 @@ class ObjectStore:
 
         The index aggregates distinct sources per partition, so each source
         object is visited once — not once per resident it references as the
-        per-target ``incoming`` dicts would require.
+        per-target ``incoming`` dicts would require. Dense sources are read
+        straight from the placement columns; overflow ones go through
+        ``locate``.
         """
         pages: set[PageId] = set()
+        add = pages.add
         page_size = self.config.page_size
-        locate = self.placements.locate
+        placements = self.placements
+        parts = placements.parts
+        offs = placements.offs
+        sizes = placements.sizes
+        dense = len(parts)
         for src in self.remembered.sources_in(pid):
-            loc = locate(src)
-            if loc is None:
-                continue
-            src_pid, offset, size = loc
+            if 0 <= src < dense:
+                src_pid = parts[src]
+                if src_pid < 0:
+                    continue
+                offset = offs[src]
+                size = sizes[src]
+            else:
+                loc = placements.locate(src)
+                if loc is None:
+                    continue
+                src_pid, offset, size = loc
             first = offset // page_size
             last = (offset + size - 1) // page_size
-            for index in range(first, last + 1):
-                pages.add((src_pid, index))
+            # Objects are far smaller than a page, so nearly every source
+            # sits on one page; skipping the range there is measurable.
+            if first == last:
+                add((src_pid, first))
+            else:
+                for index in range(first, last + 1):
+                    add((src_pid, index))
         return pages
 
     # ------------------------------------------------------------------
@@ -837,53 +844,95 @@ class ObjectStore:
         pid = self.partition_of(oid)
         self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) + obj.size
 
-    def _reclaim(self, oid: ObjectId, pid: PartitionId) -> int:
-        """Bookkeeping for one object reclaimed by the collector.
+    def _lay_out(
+        self,
+        survivors: Sequence[ObjectId],
+        offs: Any,
+        overflow: dict[ObjectId, tuple[int, int, int]],
+    ) -> int:
+        """Pack ``survivors`` from offset zero in copy order; return the fill.
 
-        Hot during compaction (one call per reclaimed object), so it uses
-        the int-only placement accessors and inlines the outgoing-edge
-        forget walk instead of paying a ``Placement`` allocation and a
-        ``_forget_edge`` call per pointer. The source's own placement is
-        already dropped here, exactly as when ``_forget_edge`` ran after
-        ``placements.pop`` — intra-partition targets were never remembered,
-        so skipping them is observationally identical.
+        The one layout rule of compaction, shared by the inline path (which
+        passes the placement table's own ``offs`` column and ``overflow``
+        dict) and :meth:`plan_compaction` (which passes empty dicts). Each
+        dense survivor's new offset goes to ``offs[oid]``, each overflow
+        survivor's full row to ``overflow[oid]``. Survivors keep their
+        partition and size, so sizes are read from the placement table —
+        :mod:`repro.storage.validation` checks they equal the objects'.
+        Classification is by :data:`DENSE_CEILING`, not the current column
+        length: a resident already has its row in whichever representation
+        its oid selects.
         """
-        obj = self.objects.pop(oid)
         placements = self.placements
-        if placements.part_of(oid) != pid:
-            self.objects[oid] = obj
-            raise StoreError(f"object {oid} reclaimed from wrong partition")
-        placements.discard(oid)
+        sizes = placements.sizes
+        rows = placements.overflow
+        ceiling = DENSE_CEILING
+        cursor = 0
+        for oid in survivors:
+            if 0 <= oid < ceiling:
+                offs[oid] = cursor
+                cursor += sizes[oid]
+            else:
+                pid, _offset, size = rows[oid]
+                overflow[oid] = (pid, cursor, size)
+                cursor += size
+        return cursor
 
-        size = obj.size
-        if obj.dead:
-            self.dead_bytes[pid] = self.dead_bytes.get(pid, 0) - size
-        else:
-            # The workload never declared this object dead, yet the collector
-            # found it unreachable within its partition. Fold it into both
-            # totals so ActGarb stays consistent, and count it for tests.
-            self.garbage.total_generated += size
-            self.garbage.undeclared += size
-        self.garbage.total_collected += size
+    def _reclaim_all(self, pid: PartitionId, reclaimed: Iterable[ObjectId]) -> int:
+        """Bookkeeping for the objects the collector reclaims from ``pid``.
 
-        # Sever remembered-set state in both directions.
-        pointers = obj.pointers
-        if pointers:
-            part_of = placements.part_of
-            partitions = self.partitions
-            remembered = self.remembered
-            for target in pointers.values():
+        Returns the bytes reclaimed. Each object leaves the object and
+        placement tables, its garbage is accounted, and its remembered-set
+        state is severed in both directions. Outgoing edges into ``pid``
+        itself are skipped: intra-partition pointers are never remembered.
+        """
+        objects = self.objects
+        placements = self.placements
+        part_of = placements.part_of
+        discard = placements.discard
+        dead_bytes = self.dead_bytes
+        garbage = self.garbage
+        partitions = self.partitions
+        drop_incoming = partitions[pid].drop_incoming
+        remembered = self.remembered
+        forget_source = remembered.forget_source
+        forget_sources = remembered.forget_sources
+        drop_object = remembered.drop_object
+        discard_root = self.roots.discard
+        discard_pin = self.unlinked.discard
+        reclaimed_bytes = 0
+        for oid in reclaimed:
+            obj = objects.pop(oid)
+            if part_of(oid) != pid:
+                objects[oid] = obj
+                raise StoreError(f"object {oid} reclaimed from wrong partition")
+            discard(oid)
+
+            size = obj.size
+            if obj.dead:
+                dead_bytes[pid] = dead_bytes.get(pid, 0) - size
+            else:
+                # The workload never declared this object dead, yet the
+                # collector found it unreachable within its partition. Fold
+                # it into both totals so ActGarb stays consistent, and count
+                # it for tests.
+                garbage.total_generated += size
+                garbage.undeclared += size
+            garbage.total_collected += size
+
+            for target in obj.pointers.values():
                 if target is None:
                     continue
                 tgt_pid = part_of(target)
                 if tgt_pid < 0 or tgt_pid == pid:
                     continue
                 if partitions[tgt_pid].forget(oid, target):
-                    remembered.forget_source(tgt_pid, oid)
-        dropped = self.partitions[pid].drop_incoming(oid)
-        if dropped:
-            self.remembered.forget_sources(pid, dropped)
-        self.roots.discard(oid)
-        self.unlinked.discard(oid)
-        self.remembered.drop_object(pid, oid)
-        return size
+                    forget_source(tgt_pid, oid)
+            dropped = drop_incoming(oid)
+            if dropped:
+                forget_sources(pid, dropped)
+            discard_root(oid)
+            discard_pin(oid)
+            drop_object(pid, oid)
+            reclaimed_bytes += size
+        return reclaimed_bytes

@@ -1,18 +1,24 @@
 """Shared pointer-graph traversal.
 
 Both reachability paths of the collector — the partition-local Cheney trace
-(:meth:`repro.gc.collector.CopyingCollector.collect`) and the whole-heap
-marking pass (:meth:`~repro.storage.heap.ObjectStore.reachable_from`, used
-by ``collect_global`` and the verification oracles) — are the same
+(:meth:`repro.gc.collector.CopyingCollector.collect`, and its speculative
+twin in :mod:`repro.gc.parallel`) and the whole-heap marking pass
+(:meth:`~repro.storage.heap.ObjectStore.reachable_from`, used by
+``collect_global`` and the verification oracles) — are the same
 breadth-first scan differing only in their traversal domain. This module
-holds the single implementation; before it existed the two copies in
-``collector.py`` and ``heap.py`` had to be kept in lockstep by hand.
+holds the single implementation.
+
+The scan is Cheney's: the output list *is* the queue. A scan pointer walks
+the list while newly reached objects are appended behind it, so there is
+no separate work queue. Membership is one set: ``unseen`` starts as a copy
+of the domain and each reached object is removed from it, so every edge
+costs a single ``target in unseen`` test — it covers "inside the domain",
+"not yet reached" and "not null" at once (``None`` is never a member).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Container, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.storage.object_model import ObjectId, StoredObject
 
@@ -20,7 +26,7 @@ from repro.storage.object_model import ObjectId, StoredObject
 def breadth_first_order(
     objects: Mapping[ObjectId, StoredObject],
     roots: Iterable[ObjectId],
-    within: Optional[Container[ObjectId]] = None,
+    within: Optional[Iterable[ObjectId]] = None,
 ) -> list[ObjectId]:
     """Deterministic breadth-first traversal of the heap's pointer graph.
 
@@ -29,34 +35,30 @@ def breadth_first_order(
         roots: Traversal starts here, in the given order — callers wanting
             deterministic copy order pass roots pre-sorted. Roots outside
             the domain are skipped (partitioned collection's conservative
-            root sets can mention ids filtered by ``within``).
+            root sets can mention ids filtered by ``within``), and so are
+            repeated roots.
         within: Optional traversal domain — only members are visited and
             enqueued (the collector passes a partition's residents, so
             pointers leaving the partition are not traversed, §3.1).
-            ``None`` traverses the whole object table.
+            ``None`` traverses the whole object table. The domain is
+            copied once, so it must hold only object ids.
 
     Returns:
         Every reached object id, in visit (Cheney copy) order.
     """
-    domain: Container[ObjectId] = objects if within is None else within
-    seen: set[ObjectId] = set()
-    seen_add = seen.add
-    queue: deque[ObjectId] = deque()
-    queue_append = queue.append
-    for oid in roots:
-        if oid in domain and oid not in seen:
-            seen_add(oid)
-            queue_append(oid)
+    unseen = set(objects if within is None else within)
+    reach = unseen.remove
     order: list[ObjectId] = []
-    order_append = order.append
-    popleft = queue.popleft
-    # Hot loop: the per-edge test is two set membership checks with every
-    # method hoisted into a local — this scan dominates collection cost.
-    while queue:
-        oid = popleft()
-        order_append(oid)
+    append = order.append
+    for oid in roots:
+        if oid in unseen:
+            reach(oid)
+            append(oid)
+    # Hot loop: the list grows behind the scan pointer (list iteration
+    # re-reads the length each step), and each edge is one set probe.
+    for oid in order:
         for target in objects[oid].pointers.values():
-            if target is not None and target not in seen and target in domain:
-                seen_add(target)
-                queue_append(target)
+            if target in unseen:
+                reach(target)
+                append(target)
     return order

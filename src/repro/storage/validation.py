@@ -61,8 +61,9 @@ class StoreValidator:
     # ------------------------------------------------------------------
 
     def _check_placements(self, store: ObjectStore, report: ValidationReport) -> None:
-        """Every object has one placement inside its partition's extent;
-        placements within a partition never overlap."""
+        """Every object has one placement inside its partition's extent, of
+        the object's own size (compaction lays survivors out from the
+        placement sizes); placements within a partition never overlap."""
         if set(store.objects) != set(store.placements):
             missing = set(store.objects) ^ set(store.placements)
             report.add("placements", f"objects/placements mismatch: {sorted(missing)[:5]}")
@@ -77,6 +78,13 @@ class StoreValidator:
                         f"resident {oid} of partition {partition.pid} misplaced",
                     )
                     continue
+                size = store.objects[oid].size
+                if placement.size != size:
+                    report.add(
+                        "placements",
+                        f"object {oid}: placement size {placement.size} "
+                        f"!= object size {size}",
+                    )
                 spans.append((placement.offset, placement.size, oid))
             cursor = 0
             for offset, size, oid in sorted(spans):

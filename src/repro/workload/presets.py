@@ -14,9 +14,6 @@ multiplies every phase's operation count.
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterator
-
 from repro.workload.synthetic import SyntheticPhase, SyntheticWorkload
 
 
@@ -145,16 +142,11 @@ PRESETS = {
 class PresetWorkload(SyntheticWorkload):
     """A named preset as a full workload (the unified-protocol form).
 
-    This is what :func:`make_preset` now returns. It *is* a
+    This is what :func:`make_preset` returns. It *is* a
     :class:`~repro.workload.synthetic.SyntheticWorkload` — same ``events()``,
     same canonical material, so a preset and the equivalent hand-built
-    synthetic workload share one trace fingerprint and cache entry.
-
-    For compatibility with the historical ``make_preset`` contract (a bare
-    ``list[SyntheticPhase]``), the instance also supports iteration,
-    indexing and ``len`` over its phases — each such use emits a
-    :class:`DeprecationWarning`; pass the workload itself (or read
-    ``.phases``) instead.
+    synthetic workload share one trace fingerprint and cache entry. Its
+    phases are ``.phases``.
     """
 
     def __init__(
@@ -176,29 +168,6 @@ class PresetWorkload(SyntheticWorkload):
         self.preset_name = name
         self.scale = scale
 
-    # ------------------------------------------------- deprecated list shim
-
-    def _warn_list_use(self) -> None:
-        warnings.warn(
-            "treating make_preset(...) as a bare list of phases is "
-            "deprecated; it now returns a PresetWorkload — use it directly "
-            "or read its .phases attribute",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __iter__(self) -> Iterator[SyntheticPhase]:
-        self._warn_list_use()
-        return iter(self.phases)
-
-    def __len__(self) -> int:
-        self._warn_list_use()
-        return len(self.phases)
-
-    def __getitem__(self, index):
-        self._warn_list_use()
-        return self.phases[index]
-
 
 def make_preset(
     name: str,
@@ -209,9 +178,7 @@ def make_preset(
     """Instantiate a preset by name.
 
     Returns a :class:`PresetWorkload` (a real workload conforming to
-    :class:`repro.workload.base.WorkloadSpec`). Code that treated the old
-    bare ``list[SyntheticPhase]`` return as a list keeps working through a
-    ``DeprecationWarning`` shim.
+    :class:`repro.workload.base.WorkloadSpec`).
 
     Raises:
         ValueError: on an unknown name, listing the valid preset names.

@@ -106,36 +106,3 @@ def test_seed_aware_factory_receives_each_seed():
 
     run_seeds(factory, _trace, seeds=[3, 1, 4], config=CONFIG)
     assert received == [3, 1, 4]
-
-
-def test_legacy_zero_arg_factory_warns_but_works():
-    with pytest.warns(DeprecationWarning, match="seed-aware"):
-        aggregate = run_seeds(
-            lambda: FixedRatePolicy(50), _trace, seeds=[0], config=CONFIG
-        )
-    assert aggregate.runs == 1
-
-
-def test_legacy_default_arg_factory_keeps_its_defaults():
-    """`lambda r=rate: ...` smuggles state via defaults; the seed must not
-    clobber it."""
-    captured = []
-
-    def factory(rate=50):
-        captured.append(rate)
-        return FixedRatePolicy(rate)
-
-    with pytest.warns(DeprecationWarning):
-        run_seeds(factory, _trace, seeds=[7], config=CONFIG)
-    assert captured == [50]  # not the seed
-
-
-def test_legacy_and_seed_aware_factories_agree():
-    with pytest.warns(DeprecationWarning):
-        legacy = run_seeds(
-            lambda: FixedRatePolicy(50), _trace, seeds=[0, 1], config=CONFIG
-        )
-    modern = run_seeds(
-        lambda seed: FixedRatePolicy(50), _trace, seeds=[0, 1], config=CONFIG
-    )
-    assert legacy.summaries == modern.summaries

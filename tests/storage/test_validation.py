@@ -57,6 +57,17 @@ def test_detects_placement_overlap(store):
     assert any("placements" in v for v in report.violations)
 
 
+def test_detects_placement_size_drift(store):
+    # Corrupt the raw size column: compaction lays survivors out from it.
+    oid = sorted(store.partitions[0].residents)[1]
+    store.placements.sizes[oid] += 8
+    report = StoreValidator().validate(store)
+    assert (
+        f"[placements] object {oid}: placement size "
+        f"{store.objects[oid].size + 8} != object size {store.objects[oid].size}"
+    ) in report.violations
+
+
 def test_detects_resident_mismatch(store):
     store.partitions[0].residents.add(99999)
     report = StoreValidator().validate(store)

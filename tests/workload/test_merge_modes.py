@@ -1,21 +1,20 @@
-"""A/B: the bisect k-way merge is byte-identical to ``random.choices``.
+"""The bisect k-way merge is byte-identical to ``random.choices``.
 
-The ``bisect`` path exists purely as an O(log k)-per-step optimisation of
-the original O(k) ``random.choices`` draw; both consume exactly one
+``TenantMix`` draws tenants by bisecting a cached cumulative-weight table,
+an O(log k)-per-step optimisation of the original O(k) ``random.choices``
+draw kept in :mod:`merge_oracle`; both consume exactly one
 ``rng.random()`` per merge step over float-identical cumulative sums, so
 the merged traces must be **equal event-for-event** — including across
-tenant-exhaustion rebuilds of the draw table. Because the mode can never
-change the trace, it is excluded from ``canonical_material`` and must not
-split trace-cache entries.
+tenant-exhaustion rebuilds of the draw table.
 """
 
 import itertools
 
 import pytest
 
+from merge_oracle import merge_choices
 from repro.workload.grammar import OpMix, PhaseBlock, WorkloadConfig
 from repro.workload.tenants import (
-    MERGE_MODES,
     TenantMix,
     TenantMixConfig,
     TenantSpec,
@@ -42,7 +41,7 @@ def _uneven_mix():
 
     When the short tenant exhausts mid-merge, the bisect path must rebuild
     its cached cumulative table exactly where ``random.choices`` would
-    narrow its population — the divergence-prone case the A/B guards.
+    narrow its population — the divergence-prone case the oracle guards.
     """
     return TenantMixConfig(
         name="uneven",
@@ -56,33 +55,15 @@ def _uneven_mix():
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1999])
 def test_merge_modes_are_byte_identical(seed):
-    a = list(TenantMix(_uneven_mix(), seed=seed, merge_mode="bisect").events())
-    b = list(TenantMix(_uneven_mix(), seed=seed, merge_mode="choices").events())
-    assert a == b
+    mix = TenantMix(_uneven_mix(), seed=seed)
+    assert list(mix.events()) == list(merge_choices(mix))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_merge_modes_identical_on_profiles(seed):
     config = tenant_mix(["oltp-churn", "read-browse"], scale=0.2)
-    a = list(TenantMix(config, seed=seed, merge_mode="bisect").events())
-    b = list(TenantMix(config, seed=seed, merge_mode="choices").events())
-    assert a == b
-
-
-def test_merge_mode_excluded_from_canonical_material():
-    config = _uneven_mix()
-    materials = {
-        mode: TenantMix(config, seed=5, merge_mode=mode).canonical_material()
-        for mode in MERGE_MODES
-    }
-    assert materials["bisect"] == materials["choices"]
-
-
-def test_unknown_merge_mode_rejected():
-    from repro.workload.grammar import GrammarError
-
-    with pytest.raises(GrammarError):
-        TenantMix(_uneven_mix(), merge_mode="heap")
+    mix = TenantMix(config, seed=seed)
+    assert list(mix.events()) == list(merge_choices(mix))
 
 
 def test_unbounded_stream_draw_matches_bisect_semantics():

@@ -21,12 +21,11 @@ STORE = StoreConfig(page_size=2048, partition_pages=4, buffer_pages=4)
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_presets_generate_valid_workloads(name):
-    phases = make_preset(name, scale=0.2)
-    workload = SyntheticWorkload(phases, seed=0, initial_clusters=20)
+    workload = make_preset(name, scale=0.2, initial_clusters=20)
     events = list(workload.events())
     markers = [e.name for e in events if isinstance(e, PhaseMarkerEvent)]
-    assert markers == [p.name for p in phases]
-    assert len(events) > len(phases)
+    assert markers == [p.name for p in workload.phases]
+    assert len(events) > len(workload.phases)
 
 
 def test_make_preset_rejects_unknown():
