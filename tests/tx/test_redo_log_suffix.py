@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage.object_model import ObjectKind
 from repro.tx.recovery import (
     CheckpointSnapshot,
     RedoLog,
@@ -61,7 +62,11 @@ def test_suffix_length_matches_a_scan(ops):
         elif op == "abort":
             log.abort(txid)
         elif op == "root":
-            log.root(txid, txid)  # replays only if its tx committed
+            # A root must name an object the replayed store holds, so the
+            # same transaction creates it first; the step keeps oids unique.
+            # Both records replay only if the transaction commits.
+            log.create(txid, step, 64, ObjectKind.GENERIC, ())
+            log.root(txid, step)
         elif op == "checkpoint-record":
             log.append(RedoRecord("checkpoint", 0, checkpoint=_snapshot(step)))
         elif op == "install":
