@@ -7,12 +7,10 @@ Tracks the engine's performance trajectory with a standard suite:
 * ``traverse_replay`` — replay of a prebuilt compiled trace only (no
   build), the pure inner-loop throughput number in events/second under
   the default batched interpreter.
-* ``batch_replay`` — scalar vs batched interpreter on the same compiled
-  trace: events/s per mode, speedup, opcode run-length histogram, and a
-  pickle-equality assertion on the two summaries.
+* ``batch_replay`` — the batched interpreter on a compiled trace:
+  events/s and the opcode run-length histogram the interpreter exploits.
 * ``collection_throughput`` — collector-only throughput (collections/s and
-  traced objects per collection) for the remembered-set frontier vs the
-  full-scan baseline, asserting both produce pickle-equal summaries.
+  traced objects per collection) next to the whole replay's wall time.
 * ``trace_compile_load`` — workload rebuild vs trace compile vs binary
   save/load, demonstrating the compiled-trace speedup.
 * ``sweep_trace_cache`` — a small multi-spec sweep through the trace
@@ -91,6 +89,22 @@ def _best_of(repeats: int, fn):
     return best, result
 
 
+def _timed_collections(target) -> list:
+    """Wrap ``target.collect`` to sum its wall time; returns a one-element
+    list holding the running total (seconds)."""
+    inner = target.collect
+    total = [0.0]
+
+    def timed(pid):
+        started = time.perf_counter()
+        result = inner(pid)
+        total[0] += time.perf_counter() - started
+        return result
+
+    target.collect = timed
+    return total
+
+
 def _bench_config(quick: bool):
     from repro.oo7.config import TINY
     from repro.experiments.common import DEFAULT_CONFIG
@@ -159,23 +173,12 @@ def bench_figure1_cell(quick: bool, repeats: int, telemetry=None) -> dict:
         events = list(build_workload(spec.workload, 0))
         build_s = time.perf_counter() - started
         sim = _new_simulation(spec, 0)
-        collector = sim.collector
-        inner = collector.collect
-        gc_wall = 0.0
-
-        def timed(pid):
-            nonlocal gc_wall
-            gc_started = time.perf_counter()
-            result = inner(pid)
-            gc_wall += time.perf_counter() - gc_started
-            return result
-
-        collector.collect = timed
+        gc_wall = _timed_collections(sim.collector)
         result = sim.run(events)
         wall = time.perf_counter() - started
         if wall < best_wall:
             best_wall = wall
-            best = (result.summary.collections, build_s, gc_wall)
+            best = (result.summary.collections, build_s, gc_wall[0])
     collections, build_s, gc_wall = best
     replay_s = best_wall - build_s - gc_wall
     if telemetry is not None:
@@ -197,12 +200,10 @@ def bench_figure1_cell(quick: bool, repeats: int, telemetry=None) -> dict:
 def bench_traverse_replay(quick: bool, repeats: int, telemetry=None) -> dict:
     """Replay throughput over a prebuilt trace — the inner-loop number.
 
-    The trace is built and compiled once outside the timed region, so the
-    default ``replay="auto"`` drives the batched interpreter of
-    :mod:`repro.sim.batch` — the configuration every experiment runner
-    replays under. A sparse fixed rate keeps collection cost low so the
-    per-event replay path dominates. (``batch_replay`` below reports the
-    scalar interpreter on the same trace, with the speedup.)
+    The trace is built and compiled once outside the timed region, so only
+    the batched interpreter of :mod:`repro.sim.batch` is timed. A sparse
+    fixed rate keeps collection cost low so the per-event replay path
+    dominates.
     """
     from repro.sim.spec import build_workload
     from repro.workload.compiled import compile_trace
@@ -227,18 +228,11 @@ def bench_traverse_replay(quick: bool, repeats: int, telemetry=None) -> dict:
 
 
 def bench_batch_replay(quick: bool, repeats: int, telemetry=None) -> dict:
-    """Scalar vs batched interpreter on the same prebuilt compiled trace.
+    """The batched interpreter on a prebuilt compiled trace.
 
-    Both modes replay the identical trace under the identical policy; the
-    scalar leg drives the per-event dispatch loop, the batched leg the
-    run-sliced interpreter of :mod:`repro.sim.batch`. Summaries must stay
-    pickle-equal — the speedup is never bought with a behaviour change.
-    The opcode run-length histogram (power-of-two buckets) shows the run
-    structure the batched interpreter exploits.
+    Reports events/s and the opcode run-length histogram (power-of-two
+    buckets) — the run structure the interpreter's bulk kernels exploit.
     """
-    import pickle
-    from dataclasses import replace
-
     from repro.sim.spec import build_workload
     from repro.workload.compiled import compile_trace
 
@@ -265,91 +259,66 @@ def bench_batch_replay(quick: bool, repeats: int, telemetry=None) -> dict:
         for label in sorted(histogram, key=lambda k: int(k.split("-")[0]))
     }
 
-    scalar_spec = replace(spec, sim=replace(spec.sim, replay="scalar"))
-    batched_spec = replace(spec, sim=replace(spec.sim, replay="batched"))
-
-    def scalar():
-        return _new_simulation(scalar_spec, 0).run(events).summary
-
     def batched():
-        return _new_simulation(batched_spec, 0).run(trace).summary
+        return _new_simulation(spec, 0).run(trace).summary
 
     batched()  # untimed warmup: builds the per-trace batch column cache
-    scalar_wall, scalar_summary = _best_of(repeats, scalar)
     batched_wall, batched_summary = _best_of(repeats, batched)
     if telemetry is not None:
         _telemetered_replay(telemetry, "batch_replay", spec, events)
     return {
         "events": len(events),
         "collections": batched_summary.collections,
-        "scalar": {
-            "wall_s": round(scalar_wall, 4),
-            "events_per_s": round(len(events) / scalar_wall, 1),
-        },
         "batched": {
             "wall_s": round(batched_wall, 4),
             "events_per_s": round(len(events) / batched_wall, 1),
         },
-        "speedup": round(scalar_wall / batched_wall, 2)
-        if batched_wall > 0
-        else float("inf"),
-        "summaries_match": pickle.dumps(scalar_summary)
-        == pickle.dumps(batched_summary),
         "run_length_histogram": histogram,
     }
 
 
 def bench_collection_throughput(quick: bool, repeats: int, telemetry=None) -> dict:
-    """Collector throughput per reachability mode — collections/second and
-    traced objects per collection, separate from the events/s replay number.
+    """Collector throughput — collections/second and traced objects per
+    collection, separate from the events/s replay number.
 
-    Replays the same prebuilt Figure 1 cell trace once per mode, timing
-    only the ``collector.collect`` calls (everything else — event replay,
-    policy bookkeeping — is identical between modes and excluded). Quick
-    scale collects at a denser rate so even the tiny configuration produces
-    enough collections for a stable number. Also asserts the two modes'
-    summaries stay pickle-equal, so the speedup is never bought with a
-    behaviour change.
+    Replays the prebuilt, compiled Figure 1 cell trace, timing the
+    ``collector.collect`` calls (``gc_wall_s``, the gated
+    ``collections_per_s``) and, around them, the whole replay
+    (``run_wall_s``). Quick scale collects at a denser rate so even the
+    tiny configuration produces enough collections for a stable number.
     """
-    import pickle
-    from dataclasses import replace
-
     from repro.sim.spec import build_workload
+    from repro.workload.compiled import compile_trace
 
     # Quick scale collects much more often: the tiny trace has few pointer
     # overwrites, and the gate needs enough collections for stable timing.
     spec = _cell_spec(_bench_config(quick), rate=10.0 if quick else 200.0)
     events = list(build_workload(spec.workload, 0))
+    trace = compile_trace(events)
 
-    def run_mode(mode: str):
-        mode_spec = replace(spec, sim=replace(spec.sim, reachability=mode))
-        best_wall = float("inf")
-        best = None
-        for _ in range(max(1, repeats)):
-            sim = _new_simulation(mode_spec, 0)
-            collector = sim.collector
-            inner = collector.collect
-            gc_wall = 0.0
-
-            def timed(pid):
-                nonlocal gc_wall
-                started = time.perf_counter()
-                result = inner(pid)
-                gc_wall += time.perf_counter() - started
-                return result
-
-            collector.collect = timed
-            summary = sim.run(events).summary
-            if gc_wall < best_wall:
-                best_wall = gc_wall
-                best = (collector, summary)
-        collector, summary = best
-        collections = collector.collections_performed
-        traced = collector.traced_objects_total
-        heap = collector.heap_objects_total
-        return {
+    best_wall = float("inf")
+    best = None
+    for _ in range(max(1, repeats)):
+        sim = _new_simulation(spec, 0)
+        gc_wall = _timed_collections(sim.collector)
+        started = time.perf_counter()
+        sim.run(trace)
+        run_wall = time.perf_counter() - started
+        if gc_wall[0] < best_wall:
+            best_wall = gc_wall[0]
+            best = (sim.collector, run_wall)
+    collector, run_wall = best
+    collections = collector.collections_performed
+    traced = collector.traced_objects_total
+    heap = collector.heap_objects_total
+    if telemetry is not None:
+        _telemetered_replay(telemetry, "collection_throughput", spec, events)
+    return {
+        "events": len(events),
+        "remembered": {
             "collections": collections,
             "gc_wall_s": round(best_wall, 4),
+            "run_wall_s": round(run_wall, 4),
             "collections_per_s": round(collections / best_wall, 1)
             if best_wall > 0
             else float("inf"),
@@ -357,23 +326,7 @@ def bench_collection_throughput(quick: bool, repeats: int, telemetry=None) -> di
             if collections
             else 0.0,
             "traced_vs_heap": round(traced / heap, 4) if heap else 0.0,
-        }, summary
-
-    remembered, remembered_summary = run_mode("remembered")
-    full, full_summary = run_mode("full")
-    if telemetry is not None:
-        _telemetered_replay(telemetry, "collection_throughput", spec, events)
-    return {
-        "events": len(events),
-        "remembered": remembered,
-        "full": full,
-        "speedup_vs_full": round(
-            remembered["collections_per_s"] / full["collections_per_s"], 2
-        )
-        if full["collections_per_s"]
-        else float("inf"),
-        "summaries_match": pickle.dumps(remembered_summary)
-        == pickle.dumps(full_summary),
+        },
     }
 
 
@@ -610,9 +563,10 @@ def bench_parallel_collection(quick: bool, repeats: int, telemetry=None) -> dict
     ``collector.collect`` for serial, ``scheduler.collect`` for parallel.
     Everything the parallel scheduler hoists into the margin window
     (frontier snapshot, Cheney trace, compaction layout planning) leaves
-    the pause; reclamation bookkeeping stays, by design. Asserts the two
-    modes' summaries are pickle-equal, so the speedup is never bought with
-    a behaviour change.
+    the pause; reclamation bookkeeping stays, by design. Each mode also
+    reports the whole replay's wall time (``run_wall_s``), which the
+    margin-window work is paid from. Asserts the two modes' summaries are
+    pickle-equal, so the speedup is never bought with a behaviour change.
     """
     import pickle
 
@@ -620,6 +574,7 @@ def bench_parallel_collection(quick: bool, repeats: int, telemetry=None) -> dict
     from repro.gc.selection import RoundRobinSelection
     from repro.sim.simulator import Simulation, SimulationConfig
     from repro.storage.heap import StoreConfig
+    from repro.workload.compiled import compile_trace
     from repro.workload.synthetic import SyntheticPhase, SyntheticWorkload
 
     workers = 4
@@ -635,7 +590,7 @@ def bench_parallel_collection(quick: bool, repeats: int, telemetry=None) -> dict
             object_size=128,
         )
     ]
-    events = list(
+    trace = compile_trace(
         SyntheticWorkload(phases, seed=7, initial_clusters=4800).events()
     )
 
@@ -654,26 +609,20 @@ def bench_parallel_collection(quick: bool, repeats: int, telemetry=None) -> dict
         best = None
         for _ in range(max(1, repeats)):
             sim = make_sim(collection, gc_workers)
-            target = sim._par if sim._par is not None else sim.collector
-            inner = target.collect
-            gc_wall = 0.0
-
-            def timed(pid):
-                nonlocal gc_wall
-                started = time.perf_counter()
-                result = inner(pid)
-                gc_wall += time.perf_counter() - started
-                return result
-
-            target.collect = timed
-            summary = sim.run(events).summary
-            if gc_wall < best_wall:
-                best_wall = gc_wall
-                best = (sim, summary)
-        sim, summary = best
+            gc_wall = _timed_collections(
+                sim._par if sim._par is not None else sim.collector
+            )
+            started = time.perf_counter()
+            summary = sim.run(trace).summary
+            run_wall = time.perf_counter() - started
+            if gc_wall[0] < best_wall:
+                best_wall = gc_wall[0]
+                best = (sim, summary, run_wall)
+        sim, summary, run_wall = best
         payload = {
             "collections": sim.collector.collections_performed,
             "gc_wall_s": round(best_wall, 4),
+            "run_wall_s": round(run_wall, 4),
             "collections_per_s": round(
                 sim.collector.collections_performed / best_wall, 1
             )
@@ -696,11 +645,11 @@ def bench_parallel_collection(quick: bool, repeats: int, telemetry=None) -> dict
             seed=7,
         )
         sim = make_sim("parallel", workers, obs=tel)
-        with tel.span("replay", events=len(events)):
-            sim.run(events)
+        with tel.span("replay", events=len(trace)):
+            sim.run(trace)
         tel.close()
     return {
-        "events": len(events),
+        "events": len(trace),
         "gc_workers": workers,
         "serial": serial,
         "parallel": parallel,
@@ -831,19 +780,16 @@ def _format_report(doc: dict) -> str:
     )
     br = r["batch_replay"]
     lines.append(
-        f"  batch_replay:       batched "
-        f"{br['batched']['events_per_s']:,.0f} events/s vs scalar "
-        f"{br['scalar']['events_per_s']:,.0f} events/s "
-        f"({br['speedup']:g}x, summaries match: {br['summaries_match']})"
+        f"  batch_replay:       {br['batched']['wall_s']:.3f}s "
+        f"({br['batched']['events_per_s']:,.0f} events/s, "
+        f"{br['collections']} collections)"
     )
-    ct = r["collection_throughput"]
+    ct = r["collection_throughput"]["remembered"]
     lines.append(
-        f"  collection_throughput: remembered "
-        f"{ct['remembered']['collections_per_s']:,.0f} coll/s vs full "
-        f"{ct['full']['collections_per_s']:,.0f} coll/s "
-        f"({ct['speedup_vs_full']:g}x, "
-        f"{ct['remembered']['traced_objects_per_collection']:,.0f} traced "
-        f"objs/collection, summaries match: {ct['summaries_match']})"
+        f"  collection_throughput: {ct['collections_per_s']:,.0f} coll/s "
+        f"({ct['collections']} collections in {ct['gc_wall_s']:.3f}s of a "
+        f"{ct['run_wall_s']:.3f}s run, "
+        f"{ct['traced_objects_per_collection']:,.0f} traced objs/collection)"
     )
     pc = r["parallel_collection"]
     lines.append(
@@ -853,7 +799,9 @@ def _format_report(doc: dict) -> str:
         f"({pc['pause_speedup']:g}x pause speedup at "
         f"{pc['gc_workers']} workers, "
         f"{pc['parallel']['speculation_hits']}/"
-        f"{pc['parallel']['collections']} speculation hits, "
+        f"{pc['parallel']['collections']} speculation hits; run "
+        f"{pc['parallel']['run_wall_s']:.3f}s vs "
+        f"{pc['serial']['run_wall_s']:.3f}s; "
         f"summaries match: {pc['summaries_match']})"
     )
     tcl = r["trace_compile_load"]

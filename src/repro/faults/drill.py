@@ -129,6 +129,7 @@ def run_crash_recovery_drill(
     # close the cycle.
     from repro.sim.simulator import Simulation
     from repro.sim.spec import build_workload
+    from repro.workload.compiled import compile_trace
 
     plan = plan if plan is not None else spec.faults
     if plan is None:
@@ -151,7 +152,9 @@ def run_crash_recovery_drill(
             owns_obs = True
 
     config = dataclasses.replace(spec.sim, enable_redo_log=True)
-    events = list(build_workload(spec.workload, seed))
+    # Compiled once: the reference run and every resume segment replay the
+    # same CompiledTrace, so its batch column cache is built only once.
+    trace = compile_trace(build_workload(spec.workload, seed))
 
     def fresh(store=None, faults=None, redo_log=None, observed=False) -> Simulation:
         policy, _, selection = spec.resolve(seed)
@@ -171,9 +174,9 @@ def run_crash_recovery_drill(
     reference = fresh()
     if obs is not None:
         with obs.span("reference"):
-            reference.run(events)
+            reference.run(trace)
     else:
-        reference.run(events)
+        reference.run(trace)
     report = DrillReport(crashes=0, reference_digest=state_digest(reference.store))
 
     # Drilled run: one injector for the whole drill, so occurrence counters
@@ -186,9 +189,9 @@ def run_crash_recovery_drill(
         try:
             if obs is not None:
                 with obs.span("drill_segment", start_index=start):
-                    sim.run(events, start_index=start)
+                    sim.run(trace, start_index=start)
             else:
-                sim.run(events, start_index=start)
+                sim.run(trace, start_index=start)
             break
         except SimulatedCrash as crash:
             report.crashes += 1

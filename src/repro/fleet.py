@@ -204,7 +204,6 @@ def _default_sim_config(
     partition_pages: int = DEFAULT_PARTITION_PAGES,
     buffer_pages: int = DEFAULT_BUFFER_PAGES,
     preamble: int = 0,
-    replay: str = "auto",
     collection: str = "serial",
     gc_workers: int = 1,
 ) -> SimulationConfig:
@@ -215,7 +214,6 @@ def _default_sim_config(
             buffer_pages=buffer_pages,
         ),
         preamble_collections=preamble,
-        replay=replay,
         collection=collection,
         gc_workers=gc_workers,
     )
@@ -402,16 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--retries", type=int, default=0)
     parser.add_argument("--run-timeout", type=float, default=None)
     parser.add_argument(
-        "--replay",
-        choices=("auto", "batched", "scalar"),
-        default="auto",
-        help=(
-            "replay interpreter: auto (batched where eligible), batched, "
-            "or scalar — all three produce identical reports; the replay "
-            "choice is excluded from result-cache fingerprints"
-        ),
-    )
-    parser.add_argument(
         "--collection",
         choices=COLLECTION_MODES,
         default="serial",
@@ -500,7 +488,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             shard=args.shard,
             sim=_default_sim_config(
                 preamble=args.preamble,
-                replay=args.replay,
                 collection=args.collection,
                 gc_workers=args.gc_workers,
             ),

@@ -28,21 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.gc.remembered import full_scan_frontier
 from repro.storage.buffer import PageId
 from repro.storage.heap import CompactionPlan, ObjectStore
 from repro.storage.iostats import IOCategory
 from repro.storage.object_model import ObjectId
 from repro.storage.partition import PartitionId
 from repro.storage.traversal import breadth_first_order
-
-#: Valid ``reachability`` modes: ``"remembered"`` derives each collection's
-#: frontier from the store's incremental index (O(partition + boundary));
-#: ``"full"`` recomputes it from a whole-heap scan per collection (O(heap)).
-#: Both produce identical results — the switch exists for A/B verification
-#: and for the ``collection_throughput`` benchmark.
-REACHABILITY_MODES = ("remembered", "full")
-
 
 @dataclass(frozen=True)
 class CollectionResult:
@@ -93,25 +84,16 @@ class CollectionResult:
 class CopyingCollector:
     """Collects one partition at a time with Cheney copying compaction.
 
+    Each collection's frontier (conservative roots + external fix-up
+    pages) is read from the store's incrementally maintained remembered-set
+    index (:mod:`repro.gc.remembered`) in O(partition + boundary).
+
     Args:
         store: The heap to collect.
-        reachability: How each collection's frontier (conservative roots +
-            external fix-up pages) is derived — see
-            :data:`REACHABILITY_MODES`. The default ``"remembered"`` reads
-            the store's incrementally maintained index; ``"full"`` is the
-            from-scratch whole-heap baseline kept for A/B verification.
-            Within-partition tracing is identical in both modes, and so are
-            all results (summaries are pickle-equal, property-tested).
     """
 
-    def __init__(self, store: ObjectStore, reachability: str = "remembered") -> None:
-        if reachability not in REACHABILITY_MODES:
-            raise ValueError(
-                f"reachability must be one of {REACHABILITY_MODES}, "
-                f"got {reachability!r}"
-            )
+    def __init__(self, store: ObjectStore) -> None:
         self._store = store
-        self.reachability = reachability
         self.collections_performed = 0
         self.total_reclaimed_bytes = 0
         #: Objects traced (visited by the survivor scan) across all
@@ -130,18 +112,16 @@ class CopyingCollector:
     def prepare(self, pid: PartitionId) -> tuple[list[ObjectId], set[PageId]]:
         """The read-only half of a collection: frontier + survivor trace.
 
-        Derives the partition's conservative roots and external fix-up
-        pages, then Cheney-traces the survivors. Mutates nothing and
+        Reads the partition's conservative roots and external fix-up
+        pages from the remembered-set index, then Cheney-traces the
+        survivors. Mutates nothing and
         charges no I/O, so it can run speculatively ahead of the trigger
         (the parallel scheduler of :mod:`repro.gc.parallel` does exactly
         that) — ``collect(pid)`` is always ``prepare`` + ``apply``.
         """
         store = self._store
-        if self.reachability == "full":
-            roots, fixup_pages = full_scan_frontier(store, pid)
-        else:
-            roots = store.partition_roots(pid)
-            fixup_pages = store.external_source_pages(pid)
+        roots = store.partition_roots(pid)
+        fixup_pages = store.external_source_pages(pid)
         return self._trace_survivors(pid, roots), fixup_pages
 
     def apply(

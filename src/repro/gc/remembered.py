@@ -23,35 +23,29 @@ global sets against the resident set on every collection:
 
 Every index update is O(1) and happens at the existing mutation seams of
 :class:`~repro.storage.heap.ObjectStore` (pointer writes, creates, root
-registrations, rollback primitives, reclamation) — the simulator's event
-handlers never touch the index directly.
+registrations, rollback primitives, reclamation) — the simulator's
+interpreter never touches the index directly.
 
 **Conservatism caveat** (the paper's stated limitation): remembered-in
 references are treated as roots even when the referencing object is itself
 garbage in another partition, so *cross-partition garbage cycles* are never
-reclaimed by partition collection — under either reachability mode — and
-are only recovered by :meth:`~repro.gc.collector.CopyingCollector.
-collect_global`'s whole-database marking pass. The oracle garbage
+reclaimed by partition collection; they are only recovered by
+:meth:`~repro.gc.collector.CopyingCollector.collect_global`'s
+whole-database marking pass. The oracle garbage
 accounting and the estimator/telemetry layers all report against this same
 definition of reclaimable garbage.
 
-:func:`full_scan_frontier` is the from-scratch baseline behind
-``SimulationConfig(reachability="full")``: it recomputes the identical
-frontier by scanning the entire heap per collection (O(heap)), which the
-A/B property tests and the ``collection_throughput`` benchmark compare the
-incremental path against.
+The from-scratch O(heap) recomputation of the same frontier is the test
+oracle ``tests/gc/frontier_oracle.py``; property tests demand the index
+equal it after every mutation.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.storage.object_model import ObjectId
 from repro.storage.partition import PartitionId
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.storage.buffer import PageId
-    from repro.storage.heap import ObjectStore
 
 #: Shared empty fallbacks so queries on never-touched partitions allocate
 #: nothing. Callers must not mutate these.
@@ -196,48 +190,3 @@ class RememberedSetIndex:
             "forgets_total": self.forgets_total,
         }
 
-
-def full_scan_frontier(
-    store: "ObjectStore", pid: PartitionId
-) -> tuple[set[ObjectId], set["PageId"]]:
-    """From-scratch recomputation of partition ``pid``'s collection frontier.
-
-    Scans the *entire heap* to derive exactly what the incremental path
-    reads out of the remembered-set state in O(partition + boundary):
-
-    * the conservative root set — database roots and allocation pins
-      resident in ``pid``, plus every resident targeted by a pointer held
-      outside the partition;
-    * the external fix-up pages — pages of every external object holding at
-      least one pointer into ``pid`` (compaction relocates their referents,
-      so each needs a read-modify-write).
-
-    This is the ``reachability="full"`` baseline: O(heap) per collection,
-    result-identical to ``"remembered"`` (property-tested), and the
-    denominator of the ``collection_throughput`` benchmark's speedup.
-    """
-    partition = store.partitions[pid]
-    residents = partition.residents
-    roots = store.roots & residents
-    roots |= store.unlinked & residents
-    page_size = store.config.page_size
-    # Int-only reads of the flat placement columns: this scan visits every
-    # heap object, so a Placement snapshot per object would dominate it.
-    locate = store.placements.locate
-    pages: set["PageId"] = set()
-    for src, obj in store.objects.items():
-        loc = locate(src)
-        if loc is None or loc[0] == pid:
-            continue
-        referenced = False
-        for target in obj.targets():
-            if target in residents:
-                roots.add(target)
-                referenced = True
-        if referenced:
-            src_pid, offset, size = loc
-            first = offset // page_size
-            last = (offset + size - 1) // page_size
-            for index in range(first, last + 1):
-                pages.add((src_pid, index))
-    return roots, pages

@@ -1,13 +1,11 @@
-"""Batched trace replay: a vectorized interpreter over compiled columns.
+"""Batched trace replay: the simulator's one interpreter.
 
-The scalar loop in :mod:`repro.sim.simulator` decodes one
-:class:`~repro.events.TraceEvent` dataclass per event and dispatches it
-through the store's public methods. At trace scale (hundreds of thousands
-of events per policy cell) the per-event overhead — event allocation,
-handler dispatch, attribute traffic on the store/sampler/buffer objects —
-dominates wall time. This module replays a
-:class:`~repro.workload.compiled.CompiledTrace` directly from its columnar
-form instead, in one of two modes:
+:meth:`repro.sim.simulator.Simulation.run` compiles its input into a
+:class:`~repro.workload.compiled.CompiledTrace` and replays it here,
+directly from the columnar form — no per-event
+:class:`~repro.events.TraceEvent` objects, no handler dispatch. At trace
+scale (hundreds of thousands of events per policy cell) that per-event
+overhead would dominate wall time. Replay runs in one of two modes:
 
 * **fast mode** (:func:`_replay_fast`) — a fused interpreter that hoists
   every piece of hot mutable state (I/O ledgers, buffer LRU, sampler
@@ -22,13 +20,13 @@ form instead, in one of two modes:
   series, parallel collection or subclassed component routes to guarded
   mode instead. A redo log does not: fast mode commits each mutation
   outside an explicit transaction as an inline singleton — the same redo
-  records and WAL page writes as the scalar auto-commit, without the
-  transaction objects.
+  records and WAL page writes as a per-event auto-commit through
+  :class:`~repro.tx.manager.TransactionManager`, without the transaction
+  objects.
 
 * **guarded mode** (:func:`_replay_guarded`) — a per-event loop over the
   same columns that calls the real store/transaction/sampler methods in
-  exactly the scalar order. It skips only the event-object decode and
-  handler dispatch, so it composes with fault injection, WAL/redo
+  event order, so it composes with fault injection, WAL/redo
   logging, opportunistic policies and retained series. Fast mode also
   drops into guarded mode for the span of each explicit transaction.
 
@@ -37,10 +35,12 @@ service appends stream events to one at a time (:func:`replay_window`):
 when the interpreter has applied every column it asks a feed for the next
 event, so it never reads ahead of what it has applied.
 
-Both modes are **result-identical to the scalar loop**: summaries are
+Both modes are **result-identical to a per-event interpreter** that
+decodes each event and calls the store's public methods — the byte-
+identity oracle ``tests/sim/scalar_oracle.py``: summaries are
 pickle-equal and final store state matches field for field (property-
 tested in ``tests/sim/test_batch_replay.py``). Bitwise float equality
-holds because every floating-point operation of the scalar path —
+holds because every floating-point operation of the per-event path —
 garbage-fraction divisions and the sampler's sequential ``total +=``
 folds — is reproduced operation for operation; bulk runs reuse the one
 unchanged quotient and fold it sequentially (:func:`_fold_add`, which
@@ -56,7 +56,7 @@ Error paths: a :class:`~repro.storage.heap.StoreError` raised mid-batch
 (only malformed traces do this) flushes the mirrored counters before
 propagating, so the store is left observationally consistent; page
 touches of a partially applied bulk run are the one accepted divergence
-from scalar error-state.
+from the oracle's error-state.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ _BASE_ALLOCATED = TimeBase.ALLOCATED
 _MISS = object()
 
 #: Deadline checks are amortised over this many events in fast mode; the
-#: guarded loop (and the scalar loop) check once per event.
+#: guarded loop checks once per event.
 _DEADLINE_STRIDE = 4096
 
 #: Minimum homogeneous ACCESS/UPDATE run length worth taking the bulk path.
@@ -110,10 +110,9 @@ _BULK_MIN_RUN = 4
 
 
 def _timeout():
-    # Local import: repro.sim.engine imports the simulator at module scope,
-    # and the simulator lazily imports this module — a module-scope import
-    # of the engine here would still be safe, but keeping it lazy keeps
-    # batch importable without pulling the whole engine/spec stack.
+    # Local import: repro.sim.engine imports the simulator, which imports
+    # this module, at module scope — importing the engine here at module
+    # scope would close that cycle.
     from repro.sim.engine import RunTimeoutError
 
     return RunTimeoutError("simulation run exceeded run_timeout")
@@ -176,7 +175,7 @@ def _prefix_counts(ops: list, start: int) -> tuple[int, int]:
 def _fold_add(total: float, value: float, count: int) -> float:
     """``count`` sequential IEEE-754 additions of ``value`` onto ``total``.
 
-    Must stay a left fold: the scalar sampler adds one ``value`` per event,
+    Must stay a left fold: the sampler adds one ``value`` per event,
     and pairwise summation (``numpy.sum``) rounds differently.
     ``ufunc.accumulate`` is documented to apply the operator sequentially,
     so the numpy form is bitwise-equal to the loop.
@@ -195,12 +194,13 @@ def _fold_add(total: float, value: float, count: int) -> float:
 # Auto-commit singletons: the redo/WAL bookkeeping of fast mode
 #
 # With a redo log attached, every CREATE/WRITE/UPDATE/ROOT outside an
-# explicit transaction is committed as a singleton transaction (see
-# Simulation._apply). Fast mode logs those inline: it appends the same
-# RedoRecords, charges the WAL's page writes to the application ledger as
-# they happen (they advance the app-I/O clock), and settles the remaining
-# WAL and transaction counters at each flush. A singleton with no fault
-# hook cannot abort, so no Transaction or undo objects are built.
+# explicit transaction is committed as a singleton transaction (guarded
+# mode does it through the TransactionManager). Fast mode logs those
+# inline: it appends the same RedoRecords, charges the WAL's page writes
+# to the application ledger as they happen (they advance the app-I/O
+# clock), and settles the remaining WAL and transaction counters at each
+# flush. A singleton with no fault hook cannot abort, so no Transaction
+# or undo objects are built.
 # ----------------------------------------------------------------------
 
 _record = tuple.__new__  # builds a RedoRecord without its Python __new__
@@ -379,11 +379,14 @@ def run_batched(sim, trace: CompiledTrace, start_index: int = 0,
                 deadline: Optional[float] = None):
     """Replay ``trace`` on ``sim`` through the batched interpreter.
 
-    Drop-in equivalent of the scalar body of
-    :meth:`repro.sim.simulator.Simulation.run` — same ``start_index``
-    resume semantics, same :class:`SimulatedCrash` annotation, same
-    result construction.
+    This is the interpreter behind
+    :meth:`repro.sim.simulator.Simulation.run`: it arms the first trigger,
+    replays events ``[start_index, len(trace))`` in fast or guarded mode
+    (:func:`_fast_eligible`), annotates an escaping
+    :class:`SimulatedCrash` with its ``event_index`` and ``resume_index``,
+    and builds the :class:`~repro.sim.simulator.SimulationResult`.
     """
+    # Local import: the simulator imports this module at module scope.
     from repro.sim.simulator import SimulationResult
 
     if start_index < 0:
@@ -478,8 +481,8 @@ def _fast_eligible(sim) -> bool:
 
 def _replay_guarded(sim, trace, cache, i, end, ci, wi, deadline,
                     until_tx_close, feed=None):
-    """Apply events ``[i, end)`` via the store's real methods, in exactly
-    the scalar loop's order.
+    """Apply events ``[i, end)`` via the store's real methods, one event
+    at a time in trace order.
 
     ``ci``/``wi`` are the running create/write sub-column cursors (passed
     between fast and guarded spans rather than recomputed). With
@@ -765,8 +768,8 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline, feed=None):
         lgf = miss  # last gf folded into min/max; miss forces a compare
         npages = len(pages)
         # Most-recently-used page mirror: a touch of the page that is
-        # already at the back of the LRU is order-preserving in the scalar
-        # path too (pop + reinsert of the back element), so it collapses to
+        # already at the back of the LRU is order-preserving in the
+        # buffer pool too (pop + reinsert of the back element), so it collapses to
         # a hit count and, at most, a dirty upgrade. Sequential creates and
         # traversals hit this constantly.
         mru_pid = -1
@@ -1364,8 +1367,8 @@ def _replay_fast(sim, trace, cache, i, n, ci, wi, deadline, feed=None):
         finally:
             # ---- flush: write mirrored locals back -------------------
             # Also on error (event i failed mid-application), so the store
-            # stays observationally consistent: scalar error-state parity
-            # on everything except page touches of a partially applied bulk
+            # stays observationally consistent: error-state parity with
+            # the per-event oracle on everything except page touches of a partially applied bulk
             # run and the auto-commit records of the failing event.
             if cur_pid >= 0:
                 cur_part.fill = cur_fill

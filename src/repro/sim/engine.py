@@ -195,8 +195,8 @@ def _simulate(
 ) -> tuple[SimulationSummary, Optional[list[CollectionRecord]], float]:
     """Execute one (spec, seed) run.
 
-    ``timeout`` is enforced with a monotonic deadline checked once per
-    trace event (plus once after the run completes, so even runs shorter
+    ``timeout`` is enforced with a monotonic deadline checked inside the
+    replay loop (plus once after the run completes, so even runs shorter
     than one check interval are measured against their budget). No signals
     are involved, so enforcement works identically on every platform and
     off the main thread. With a ``trace_cache`` the
@@ -230,9 +230,8 @@ def _simulate(
         policy=policy, selection=selection, config=spec.sim, faults=faults,
         obs=obs,
     )
-    # The deadline is handed to the run itself (scalar replay wraps the
-    # trace in a per-event guard; batched replay checks it in-loop) so the
-    # CompiledTrace columns stay visible to the interpreter choice.
+    # The deadline is handed to the run itself; the interpreter checks it
+    # in-loop (see _DEADLINE_STRIDE in repro.sim.batch).
     if obs is not None:
         with obs.span("simulate"):
             result = sim.run(trace, deadline=deadline)

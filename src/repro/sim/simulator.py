@@ -2,7 +2,8 @@
 
 A :class:`Simulation` wires together a store, a collector, a
 partition-selection policy, a collection-rate policy, and a metrics sampler,
-then replays a trace:
+then replays a trace through the batched interpreter of
+:mod:`repro.sim.batch`:
 
 1. each event is applied to the store (creates, accesses, pointer writes);
 2. after every event the active trigger is checked against its clock —
@@ -17,7 +18,6 @@ volunteer extra collections.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -25,179 +25,20 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.core.extensions import OpportunisticPolicy
 from repro.core.rate_policy import PolicyContext, RatePolicy, TimeBase, Trigger
-from repro.faults.injector import FaultInjector, SimulatedCrash
+from repro.events import TraceEvent
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.gc.collector import CollectionResult, CopyingCollector
 from repro.gc.selection import PartitionSelectionPolicy, UpdatedPointerSelection
+from repro.sim.batch import run_batched
 from repro.sim.metrics import Sampler, SimulationSummary
 from repro.storage.heap import ObjectStore, StoreConfig
-from repro.tx.recovery import RedoLog
-from repro.events import (
-    AbortTransactionEvent,
-    AccessEvent,
-    BeginTransactionEvent,
-    CommitTransactionEvent,
-    CreateEvent,
-    IdleEvent,
-    PhaseMarkerEvent,
-    PointerWriteEvent,
-    RootEvent,
-    TraceEvent,
-    UpdateEvent,
-)
 from repro.tx.manager import TransactionManager
+from repro.tx.recovery import RedoLog
+from repro.workload.compiled import CompiledTrace, compile_trace
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.telemetry import RunTelemetry
-
-
-# ----------------------------------------------------------------------
-# Event dispatch (hot path)
-#
-# The replay loop applies one handler per trace event; with tens of
-# thousands of events per run an isinstance chain is measurable. Handlers
-# are keyed by *exact* event class; unknown subclasses resolve through the
-# original isinstance order once and are memoised, so behaviour is
-# unchanged for exotic event hierarchies.
-# ----------------------------------------------------------------------
-
-
-def _h_pointer_write(sim: "Simulation", event, sink) -> None:
-    sink.write_pointer(event.src, event.slot, event.target, dies=event.dies)
-
-
-def _h_create(sim: "Simulation", event, sink) -> None:
-    sink.create(
-        size=event.size,
-        kind=event.kind,
-        pointers=dict(event.pointers),
-        oid=event.oid,
-    )
-
-
-def _h_access(sim: "Simulation", event, sink) -> None:
-    sink.access(event.oid)
-
-
-def _h_update(sim: "Simulation", event, sink) -> None:
-    sink.update(event.oid)
-
-
-def _h_root(sim: "Simulation", event, sink) -> None:
-    sink.register_root(event.oid)
-
-
-def _h_begin(sim: "Simulation", event, sink) -> None:
-    sim.tx.begin(event.txid)
-    sim._tx_start_index = sim._event_index
-
-
-def _h_commit(sim: "Simulation", event, sink) -> None:
-    sim.tx.commit(event.txid)
-
-
-def _h_abort(sim: "Simulation", event, sink) -> None:
-    sim.tx.abort(event.txid)
-
-
-def _h_phase(sim: "Simulation", event, sink) -> None:
-    sim.sampler.on_phase(event.name)
-
-
-def _h_idle(sim: "Simulation", event, sink) -> None:
-    pass  # Quiescence: no store activity.
-
-
-#: Exact-class handler table; extended lazily for subclasses.
-_EVENT_HANDLERS = {
-    PointerWriteEvent: _h_pointer_write,
-    CreateEvent: _h_create,
-    AccessEvent: _h_access,
-    UpdateEvent: _h_update,
-    RootEvent: _h_root,
-    BeginTransactionEvent: _h_begin,
-    CommitTransactionEvent: _h_commit,
-    AbortTransactionEvent: _h_abort,
-    PhaseMarkerEvent: _h_phase,
-    IdleEvent: _h_idle,
-}
-
-#: isinstance resolution order for event subclasses — matches the original
-#: dispatch chain exactly.
-_HANDLER_ORDER = (
-    (PointerWriteEvent, _h_pointer_write),
-    (CreateEvent, _h_create),
-    (AccessEvent, _h_access),
-    (UpdateEvent, _h_update),
-    (RootEvent, _h_root),
-    (BeginTransactionEvent, _h_begin),
-    (CommitTransactionEvent, _h_commit),
-    (AbortTransactionEvent, _h_abort),
-    (PhaseMarkerEvent, _h_phase),
-    (IdleEvent, _h_idle),
-)
-
-
-#: Cap on memoised event classes per dispatch table. The memo keys are class
-#: objects, so an unbounded table would pin every event subclass ever seen
-#: (and grow without limit) for the life of the process — a real leak for
-#: long-lived processes and test suites that mint event classes dynamically.
-#: Ordinary traces only use the ten builtin classes and never hit the cap.
-_DYNAMIC_CLASS_LIMIT = 256
-
-#: The statically registered event classes; never evicted from any memo.
-_BUILTIN_EVENT_CLASSES = frozenset(_EVENT_HANDLERS)
-
-
-def _bounded_memo(table: dict, cls: type, value):
-    """Insert ``table[cls] = value``, evicting dynamic entries at the cap.
-
-    The hit path stays a plain dict ``get``; the eviction sweep runs only
-    when a *new* dynamic (non-builtin) class is inserted past the cap.
-    """
-    if cls not in _BUILTIN_EVENT_CLASSES and len(table) >= _DYNAMIC_CLASS_LIMIT:
-        for key in [k for k in table if k not in _BUILTIN_EVENT_CLASSES]:
-            del table[key]
-    table[cls] = value
-    return value
-
-
-def _resolve_handler(cls: type):
-    """Memoise the handler for an event subclass (original chain order)."""
-    for base, handler in _HANDLER_ORDER:
-        if issubclass(cls, base):
-            return _bounded_memo(_EVENT_HANDLERS, cls, handler)
-    raise TypeError(f"unknown trace event class {cls!r}")
-
-
-#: Event kinds the run loop special-cases, memoised per class.
-#: 0 = normal database event, 1 = phase marker, 2 = idle.
-_RUN_KINDS = {cls: 0 for cls in _EVENT_HANDLERS}
-_RUN_KINDS[PhaseMarkerEvent] = 1
-_RUN_KINDS[IdleEvent] = 2
-
-#: Per-class memo of "mutates durable logical state" (redo-log auto-commit).
-_MUTATING_MEMO: dict[type, bool] = {}
-
-
-def _deadline_guard(trace, deadline: float):
-    """Yield ``trace``'s events until the monotonic ``deadline`` passes.
-
-    The portable timeout mechanism for the scalar replay loop: one clock
-    read per event, no signals — works on every platform (SIGALRM does not
-    exist on Windows), in worker threads (``signal.signal`` is
-    main-thread-only), and composes with any number of concurrent runs.
-    Granularity is one event, which is the simulation's natural unit of
-    forward progress. The batched interpreter enforces the same deadline
-    itself (:mod:`repro.sim.batch`).
-    """
-    monotonic = time.monotonic
-    for event in trace:
-        if monotonic() >= deadline:
-            from repro.sim.engine import RunTimeoutError
-
-            raise RunTimeoutError("simulation run exceeded run_timeout")
-        yield event
 
 
 @dataclass
@@ -224,27 +65,6 @@ class SimulationConfig:
             log covers the whole trace. Logical logging charges no I/O, so
             enabling it never changes simulation results — it only makes
             crash–recover–continue drills possible.
-        reachability: How the collector derives each collection's frontier
-            (conservative roots + external fix-up pages). ``"remembered"``
-            (default) reads the store's incrementally maintained
-            remembered-set index in O(partition + boundary); ``"full"``
-            recomputes it from a whole-heap scan per collection. Results are
-            identical in both modes (summaries are pickle-equal,
-            property-tested); the switch exists for A/B verification and the
-            ``collection_throughput`` benchmark. Excluded from experiment
-            fingerprints for the same reason — see
-            :mod:`repro.sim.spec`.
-        replay: Which replay interpreter drives the run. ``"auto"``
-            (default) uses the batched interpreter of :mod:`repro.sim.batch`
-            whenever the trace is a
-            :class:`~repro.workload.compiled.CompiledTrace` and the
-            simulation is the stock :class:`Simulation` class, falling back
-            to the scalar per-event loop otherwise; ``"batched"`` compiles
-            plain event traces first and then requires the batched path;
-            ``"scalar"`` forces the per-event loop. Both interpreters are
-            result-identical (summaries pickle-equal, property-tested), so
-            this field — like ``reachability`` — is excluded from experiment
-            fingerprints.
         collection: How triggered collections execute. ``"serial"``
             (default) traces and reclaims inside the trigger window on the
             replay thread; ``"parallel"`` pre-traces likely victims
@@ -254,8 +74,8 @@ class SimulationConfig:
             reclamation in the exact serial order. Results are identical
             in both modes at any worker count (pickle-equal summaries,
             property-tested), so this field — and ``gc_workers`` — is
-            excluded from experiment fingerprints like ``reachability``
-            and ``replay``.
+            excluded from experiment fingerprints (see
+            :mod:`repro.canonical`).
         gc_workers: Fan-out width for ``collection="parallel"``: how many
             candidate partitions are snapshotted per pump, and (when > 1)
             how many tracing threads run them. Affects wall-clock only.
@@ -270,8 +90,6 @@ class SimulationConfig:
     enable_wal: bool = False
     wal_page_size: int = 8 * 1024
     enable_redo_log: bool = False
-    reachability: str = "remembered"
-    replay: str = "auto"
     collection: str = "serial"
     gc_workers: int = 1
 
@@ -328,17 +146,10 @@ class Simulation:
             ``fault_hook`` idiom, so the disabled path costs nothing).
         """
         self.config = config or SimulationConfig()
-        if self.config.replay not in ("auto", "batched", "scalar"):
-            raise ValueError(
-                f"replay must be 'auto', 'batched' or 'scalar', "
-                f"got {self.config.replay!r}"
-            )
         self.policy = policy
         self.selection = selection or UpdatedPointerSelection()
         self.store = store if store is not None else ObjectStore(self.config.store)
-        self.collector = CopyingCollector(
-            self.store, reachability=self.config.reachability
-        )
+        self.collector = CopyingCollector(self.store)
         if self.config.collection not in ("serial", "parallel"):
             raise ValueError(
                 f"collection must be 'serial' or 'parallel', "
@@ -407,6 +218,15 @@ class Simulation:
     ) -> SimulationResult:
         """Replay a trace to completion and return the results.
 
+        ``trace`` is any iterable of events. Anything but a
+        :class:`~repro.workload.compiled.CompiledTrace` is compiled first
+        (one :func:`~repro.workload.compiled.compile_trace` pass), then
+        replayed by the batched interpreter of :mod:`repro.sim.batch` — the
+        one interpreter. Callers that replay the same events repeatedly
+        should compile once and pass the compiled trace, so its batch
+        column cache is reused. Event subclasses are rejected at compile
+        time with :class:`TypeError`.
+
         ``start_index`` skips the first events of the trace while keeping
         event indices absolute — a crash-recovery drill passes the full
         trace together with the crash's ``resume_index`` so the resumed run
@@ -414,145 +234,16 @@ class Simulation:
 
         ``deadline`` is a ``time.monotonic`` instant after which the run
         raises :class:`~repro.sim.engine.RunTimeoutError`; the engine passes
-        its per-run timeout this way so the batched interpreter can enforce
-        it without the trace being wrapped in a per-event generator (which
-        would hide the :class:`~repro.workload.compiled.CompiledTrace`
-        columns the batched path reads).
+        its per-run timeout this way and the interpreter checks it in-loop.
 
         An injected crash propagates as :class:`~repro.faults.injector.
         SimulatedCrash`, annotated with the current ``event_index`` and the
         ``resume_index`` a continuation must restart from (the begin of the
         transaction in flight, or the next unprocessed event).
         """
-        replay = self.config.replay
-        # Subclasses may override _apply/_dispatch/_note_activity; the
-        # batched interpreter inlines those hooks, so anything other than
-        # the stock Simulation class replays scalar.
-        if replay != "scalar" and type(self) is Simulation:
-            from repro.workload.compiled import CompiledTrace, compile_trace
-
-            if isinstance(trace, CompiledTrace):
-                compiled = trace
-            elif replay == "batched":
-                compiled = compile_trace(trace)
-            else:
-                compiled = None
-            if compiled is not None:
-                from repro.sim.batch import run_batched
-
-                return run_batched(self, compiled, start_index, deadline)
-        if deadline is not None:
-            trace = _deadline_guard(trace, deadline)
-        if start_index:
-            trace = itertools.islice(iter(trace), start_index, None)
-        self._event_index = start_index - 1
-        self._tx_start_index = None
-        # Hot-loop hoists: bound methods and invariant objects looked up
-        # once instead of once per event. Bound lookups still honour
-        # subclass overrides of _apply/_handle_idle/sampler.on_event.
-        apply_event = self._apply
-        handle_idle = self._handle_idle
-        sample_event = self.sampler.on_event
-        store = self.store
-        iostats = store.iostats
-        tx = self.tx
-        clock = self._clock
-        collect = self._collect
-        run_kinds = _RUN_KINDS
-        note_activity = None
-        if type(self)._note_activity is not Simulation._note_activity:
-            note_activity = self._note_activity  # subclass hook
-        elif isinstance(self.policy, OpportunisticPolicy):
-            note_activity = self.policy.note_activity
-        try:
-            self._schedule(self.policy.first_trigger(store, iostats))
-            for event in trace:
-                self._event_index += 1
-                # Tracks whether the current event's application finished;
-                # decides if a crash resumes at this event or the next one.
-                self._event_applied = False
-                apply_event(event)
-                self._event_applied = True
-                cls = event.__class__
-                kind = run_kinds.get(cls)
-                if kind is None:
-                    if isinstance(event, PhaseMarkerEvent):
-                        kind = 1
-                    elif isinstance(event, IdleEvent):
-                        kind = 2
-                    else:
-                        kind = 0
-                    _bounded_memo(run_kinds, cls, kind)
-                if kind:
-                    if kind == 1:
-                        continue
-                    handle_idle(event.ticks)
-                    continue
-                if note_activity is not None:
-                    note_activity()
-                sample_event(store, iostats)
-                if tx.in_transaction:
-                    # The database is never collected mid-transaction (§3.2's
-                    # whole-database-lock model); triggers fire at commit/abort.
-                    continue
-                while clock() >= self._due_at:
-                    collect()
-        except SimulatedCrash as crash:
-            crash.event_index = self._event_index
-            crash.resume_index = (
-                self._tx_start_index
-                if self.tx.in_transaction and self._tx_start_index is not None
-                else self._event_index + (0 if not self._event_applied else 1)
-            )
-            raise
-        result = SimulationResult(
-            summary=self.sampler.summary(self.store, self.store.iostats),
-            sampler=self.sampler,
-            store=self.store,
-            policy=self.policy,
-        )
-        if self.obs is not None:
-            self.obs.on_run_end(self, result)
-        return result
-
-    # ------------------------------------------------------------------
-    # Event application
-    # ------------------------------------------------------------------
-
-    #: Events whose application mutates durable logical state.
-    _MUTATING = (PointerWriteEvent, CreateEvent, UpdateEvent, RootEvent)
-
-    def _apply(self, event: TraceEvent) -> None:
-        # With redo logging enabled, mutations outside an explicit
-        # transaction are auto-committed as singleton transactions so the
-        # redo log covers the entire trace (recovery would otherwise lose
-        # them). Auto-commit txids are negative — they can never collide
-        # with trace txids. Logical logging charges no I/O, so results are
-        # unchanged.
-        tx = self.tx
-        if self.redo_log is not None and not tx.in_transaction:
-            cls = event.__class__
-            mutating = _MUTATING_MEMO.get(cls)
-            if mutating is None:
-                mutating = _bounded_memo(
-                    _MUTATING_MEMO, cls, isinstance(event, self._MUTATING)
-                )
-            if mutating:
-                txid = self._auto_txid
-                self._auto_txid -= 1
-                tx.begin(txid, undo=False)
-                self._tx_start_index = self._event_index
-                self._dispatch(event, tx)
-                tx.commit(txid)
-                return
-        self._dispatch(event, tx if tx.in_transaction else self.store)
-
-    def _dispatch(self, event: TraceEvent, sink) -> None:
-        cls = event.__class__
-        handler = _EVENT_HANDLERS.get(cls)
-        if handler is None:
-            handler = _resolve_handler(cls)
-        handler(self, event, sink)
+        if not isinstance(trace, CompiledTrace):
+            trace = compile_trace(trace)
+        return run_batched(self, trace, start_index, deadline)
 
     # ------------------------------------------------------------------
     # Collection triggering
@@ -579,9 +270,6 @@ class Simulation:
         if base is TimeBase.ALLOCATED:
             return self._clock_allocated
         return self._clock_app_io
-
-    def _read_clock(self, base: TimeBase) -> float:
-        return self._clock_reader(base)()
 
     def _schedule(self, trigger: Trigger) -> None:
         self._trigger = trigger
@@ -681,10 +369,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # Quiescence / opportunism
     # ------------------------------------------------------------------
-
-    def _note_activity(self) -> None:
-        if isinstance(self.policy, OpportunisticPolicy):
-            self.policy.note_activity()
 
     def _handle_idle(self, ticks: int = 1) -> None:
         if not isinstance(self.policy, OpportunisticPolicy):

@@ -510,8 +510,8 @@ class ObjectStore:
         the index partitions the global root / pin sets, and every
         ``incoming`` key is an externally referenced resident (``forget``
         prunes empty entries, reclamation drops entries of reclaimed
-        residents). ``reachability="full"`` recomputes the same set from a
-        whole-heap scan (:func:`repro.gc.remembered.full_scan_frontier`).
+        residents). The test oracle ``tests/gc/frontier_oracle.py``
+        recomputes the same set from a whole-heap scan.
         """
         remembered = self.remembered
         roots = set(remembered.roots_in(pid))

@@ -43,9 +43,12 @@ def test_suite_document_shape(quick_doc):
     assert quick_doc["results"]["figure1_cell"]["events_per_s"] > 0
     assert quick_doc["results"]["traverse_replay"]["events_per_s"] > 0
     assert quick_doc["results"]["trace_compile_load"]["load_s"] >= 0
-    throughput = quick_doc["results"]["collection_throughput"]
-    assert throughput["remembered"]["collections_per_s"] > 0
-    assert throughput["summaries_match"] is True
+    throughput = quick_doc["results"]["collection_throughput"]["remembered"]
+    assert throughput["collections_per_s"] > 0
+    assert throughput["run_wall_s"] >= throughput["gc_wall_s"] > 0
+    for mode in ("serial", "parallel"):
+        cell = quick_doc["results"]["parallel_collection"][mode]
+        assert cell["run_wall_s"] >= cell["gc_wall_s"] > 0
     # Sweeping 3 specs over 1 seed shares one trace: a single build.
     assert quick_doc["results"]["sweep_trace_cache"]["trace_builds"] == 1
     replay = quick_doc["results"]["multi_tenant_replay"]

@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.oo7.config import TINY, OO7Config
 from repro.storage.heap import ObjectStore, StoreConfig
+
+# Byte-identity oracles used across test directories import by bare module
+# name (``import scalar_oracle``, ``import service_oracle``).
+for _layer in ("service", "sim"):
+    _path = str(Path(__file__).parent / _layer)
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 #: A store geometry small enough that TINY OO7 spans many partitions and the
 #: buffer pool actually evicts: 4 pages of 2 KB per partition, 4-page buffer.

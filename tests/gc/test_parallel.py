@@ -6,10 +6,11 @@ store's trace epochs before use; these tests pin the contract that makes
 ``collection="parallel"`` safe to enable at any worker count:
 byte-identical ``SimulationSummary`` pickles and identical committed
 store state versus the serial collector — across selection policies,
-worker counts, interpreters (scalar and batched replay), transactional
-rollback, crash/recovery drills and service mode — with no effect on
-result-cache fingerprints and no mutation of policy state by victim
-prediction.
+worker counts, transactional rollback, crash/recovery drills and service
+mode — with no effect on result-cache fingerprints and no mutation of
+policy state by victim prediction. Every serial reference run replays
+through the per-event oracle :mod:`scalar_oracle`, so each comparison also
+checks the batched interpreter that ``Simulation.run`` drives.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import pickle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import run_scalar
 
 from repro.core.fixed import FixedRatePolicy
 from repro.events import (
@@ -63,20 +65,24 @@ STORE = StoreConfig(page_size=2048, partition_pages=8, buffer_pages=8)
 
 
 def _config(**overrides) -> SimulationConfig:
-    defaults = dict(store=STORE, preamble_collections=0, replay="scalar")
+    defaults = dict(store=STORE, preamble_collections=0)
     defaults.update(overrides)
     return SimulationConfig(**defaults)
 
 
 def _run(workload_events, *, selection="updated-pointer", rate=40.0, seed=7,
          **overrides):
+    """``Simulation.run`` for parallel collection; the scalar oracle for
+    the serial reference."""
+    config = _config(**overrides)
     sim = Simulation(
         policy=FixedRatePolicy(rate),
         selection=make_selection_policy(selection, seed=seed),
-        config=_config(**overrides),
+        config=config,
     )
-    result = sim.run(workload_events)
-    return sim, result
+    if config.collection == "serial":
+        return sim, run_scalar(sim, workload_events)
+    return sim, sim.run(workload_events)
 
 
 def _preset_events(seed=7):
@@ -117,25 +123,13 @@ def test_speculation_actually_engages():
     )
 
 
-def test_parallel_matches_serial_full_reachability():
-    """Speculation must respect the full-scan frontier mode too."""
-    events = _preset_events()
-    serial = _outcome(*_run(events, reachability="full"))
-    parallel = _outcome(
-        *_run(events, reachability="full", collection="parallel", gc_workers=2)
-    )
-    assert parallel == serial
-
-
 def test_parallel_matches_serial_under_batched_replay():
-    """Parallel sims take the guarded per-event interpreter; results match
-    the scalar serial loop over the same compiled trace."""
+    """Parallel sims take the guarded per-event interpreter over an
+    already-compiled trace; results match the serial scalar oracle."""
     events = _preset_events()
     trace = compile_trace(events)
-    serial = _outcome(*_run(events, replay="scalar"))
-    parallel = _outcome(
-        *_run(trace, replay="auto", collection="parallel", gc_workers=4)
-    )
+    serial = _outcome(*_run(events))
+    parallel = _outcome(*_run(trace, collection="parallel", gc_workers=4))
     assert parallel == serial
 
 
@@ -188,6 +182,7 @@ def test_crash_drill_matches_serial(workers):
         label="parallel-drill",
     )
     events = list(build_workload(spec.workload, 0))
+    trace = compile_trace(events)
     plan = FaultPlan(faults=(FaultSpec(site="gc.collect", at=2),))
 
     def drilled(collection, gc_workers):
@@ -207,7 +202,10 @@ def test_crash_drill_matches_serial(workers):
         resumes = []
         while True:
             try:
-                sim.run(events, start_index=start)
+                if collection == "serial":
+                    run_scalar(sim, events, start_index=start)
+                else:
+                    sim.run(trace, start_index=start)
                 break
             except SimulatedCrash as crash:
                 assert len(resumes) < 10, "unexpectedly many crashes"
@@ -299,8 +297,9 @@ def test_unknown_policy_runs_serial_path_inline():
             selection=EveryOther(),
             config=_config(collection=collection, gc_workers=workers),
         )
-        result = sim.run(events)
-        return sim, result
+        if collection == "serial":
+            return sim, run_scalar(sim, events)
+        return sim, sim.run(events)
 
     serial = _outcome(*run("serial", 1))
     sim_p, res_p = run("parallel", 4)

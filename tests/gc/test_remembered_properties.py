@@ -3,20 +3,20 @@
 The contract of :mod:`repro.gc.remembered`: after *any* sequence of store
 mutations, the incrementally maintained per-partition frontier (roots,
 allocation pins, distinct boundary sources) equals what a full heap scan
-recomputes from scratch — and therefore both reachability modes trace the
-identical survivor set. Plus the documented conservatism caveat: a
-cross-partition garbage cycle is retained by partition collection under
-*both* modes and reclaimed only by ``collect_global``.
+recomputes from scratch (:mod:`frontier_oracle`) — and therefore the
+collector and the oracle's :class:`~frontier_oracle.FullScanCollector`
+trace the identical survivor set. Plus the documented conservatism caveat:
+a cross-partition garbage cycle is retained by partition collection under
+*both* frontiers and reclaimed only by ``collect_global``.
 """
 
 import pickle
-from dataclasses import replace
 
+from frontier_oracle import FullScanCollector, full_scan_frontier
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gc.collector import CopyingCollector
-from repro.gc.remembered import full_scan_frontier
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.validation import validate_store
 
@@ -172,13 +172,14 @@ def test_remembered_index_equals_brute_force_boundary(ops):
 @settings(max_examples=25, deadline=None)
 @given(op_sequences())
 def test_both_reachability_modes_reclaim_identically(ops):
-    """Replaying one mutation sequence against a ``remembered`` store and a
-    ``full`` store — collecting the same partitions at the same points —
-    leaves byte-identical heaps and identical garbage accounting."""
+    """Replaying one mutation sequence against the remembered-set collector
+    and the full-scan oracle collector — collecting the same partitions at
+    the same points — leaves byte-identical heaps and identical garbage
+    accounting."""
     stores = []
-    for mode in ("remembered", "full"):
+    for collector_class in (CopyingCollector, FullScanCollector):
         store = ObjectStore(CFG)
-        runner = _apply_ops(store, CopyingCollector(store, reachability=mode), ops)
+        runner = _apply_ops(store, collector_class(store), ops)
         for _ in runner:
             pass
         stores.append(store)
@@ -217,15 +218,15 @@ def test_cross_partition_cycle_is_retained_by_both_modes():
     """Partition collection never reclaims a cross-partition garbage cycle:
     each member is remembered-in from the other partition, so it is a
     conservative root there — under the incremental index and under the
-    full-scan baseline alike. This is the documented cost of O(partition)
+    full-scan oracle alike. This is the documented cost of O(partition)
     collection, not a remembered-set defect."""
-    for mode in ("remembered", "full"):
+    for collector_class in (CopyingCollector, FullScanCollector):
         store, root, a, b = _cyclic_cross_partition_store()
-        collector = CopyingCollector(store, reachability=mode)
+        collector = collector_class(store)
         for _round in range(3):
             for pid in range(len(store.partitions)):
                 collector.collect(pid)
-        assert set(store.objects) == {root, a, b}, mode
+        assert set(store.objects) == {root, a, b}, collector_class.__name__
         # The oracle agrees the cycle is garbage — it is *uncollected*, not
         # live: actual garbage stays on the books until a global pass.
         assert store.actual_garbage_bytes == 600
@@ -243,41 +244,25 @@ def test_collect_global_reclaims_the_cycle():
 
 
 # ---------------------------------------------------------------------------
-# Mode A/B on a real experiment cell
+# Remembered vs full-scan frontier on a real experiment cell
 # ---------------------------------------------------------------------------
 
 
-def _run_cell(reachability: str) -> bytes:
+def _run_cell(collector_class) -> bytes:
     from repro.experiments.common import oo7_spec
     from repro.oo7.config import TINY
-    from repro.sim.spec import PolicySpec, build_workload
     from repro.sim.simulator import Simulation
+    from repro.sim.spec import PolicySpec, build_workload
 
     spec = oo7_spec(PolicySpec("fixed", {"overwrites_per_collection": 40.0}), TINY, 2)
-    spec = replace(spec, sim=replace(spec.sim, reachability=reachability))
     policy, _, selection = spec.resolve(0)
     sim = Simulation(policy=policy, selection=selection, config=spec.sim)
+    sim.collector = collector_class(sim.store)
     return pickle.dumps(sim.run(build_workload(spec.workload, 0)).summary)
 
 
 def test_modes_produce_pickle_identical_summaries():
-    assert _run_cell("remembered") == _run_cell("full")
-
-
-def test_reachability_mode_does_not_perturb_fingerprints():
-    """The switch is a pure implementation A/B: cached results must be
-    shared across modes, so the spec fingerprint ignores ``reachability``."""
-    from repro.experiments.common import oo7_spec
-    from repro.oo7.config import TINY
-    from repro.sim.cache import spec_fingerprint
-    from repro.sim.spec import PolicySpec
-
-    spec = oo7_spec(PolicySpec("fixed", {"overwrites_per_collection": 40.0}), TINY, 2)
-    prints = {
-        spec_fingerprint(replace(spec, sim=replace(spec.sim, reachability=mode)), 0)
-        for mode in ("remembered", "full")
-    }
-    assert len(prints) == 1
+    assert _run_cell(CopyingCollector) == _run_cell(FullScanCollector)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 ``GcService.run`` replays the stream through the batched interpreter
 (:func:`repro.sim.batch.replay_window`). Before that, it applied one event
-object at a time through ``Simulation._apply`` and sampled it by hand, with
+object at a time (:func:`scalar_oracle.apply_event`) and sampled it by hand, with
 every service hook checked after every event. That loop is kept here as
 :class:`OracleService`, so tests can demand that both produce the same
 reports, digests, sampler summaries, redo logs and WAL statistics.
@@ -14,6 +14,8 @@ no event (the original applied one before checking the bound).
 from __future__ import annotations
 
 import time
+
+from scalar_oracle import apply_event, note_activity
 
 from repro.events import IdleEvent, PhaseMarkerEvent, TraceEvent
 from repro.faults.injector import SimulatedCrash
@@ -102,7 +104,7 @@ class OracleService(GcService):
         """Apply one stream event, or shed it. True when applied."""
         if self.admission is not None and not self._admit(event):
             return False
-        self.sim._apply(event)
+        apply_event(self.sim, event)
         self._sample(event)
         return True
 
@@ -114,7 +116,7 @@ class OracleService(GcService):
         if cls is IdleEvent:
             sim._handle_idle(event.ticks)
             return
-        sim._note_activity()
+        note_activity(sim)
         sim.sampler.on_event(sim.store, sim.store.iostats)
 
     def _checkpoint_due(self) -> bool:

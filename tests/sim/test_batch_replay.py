@@ -1,12 +1,12 @@
 """The batched replay interpreter must be invisible.
 
 ``repro.sim.batch`` slices a :class:`~repro.workload.compiled.
-CompiledTrace` into runs and replays them with bulk kernels; these tests
-pin the contract that makes it safe to enable by default: byte-identical
-``SimulationSummary`` pickles and identical committed store state versus
-the scalar per-event loop — across preset, grammar and tenant-mix
-workloads, from any ``start_index``, under crash/recovery drills, with
-and without numpy, and with no effect on result-cache fingerprints or
+CompiledTrace` into runs and replays them with bulk kernels; it is the
+only interpreter behind ``Simulation.run``. These tests pin its contract:
+byte-identical ``SimulationSummary`` pickles and identical committed store
+state versus the per-event oracle :mod:`scalar_oracle` — across preset,
+grammar and tenant-mix workloads, from any ``start_index``, under
+crash/recovery drills, with and without numpy, and with no effect on
 service-mode backpressure decisions.
 """
 
@@ -17,6 +17,8 @@ import pickle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import run_scalar
+from service_oracle import OracleService
 
 from repro.events import (
     AccessEvent,
@@ -32,7 +34,6 @@ from repro.oo7.config import TINY
 from repro.service.server import GcService, ServiceConfig
 from repro.service.stream import grammar_stream, tenant_stream
 from repro.sim.batch import _fast_eligible
-from repro.sim.cache import spec_fingerprint
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.sim.spec import (
     ExperimentSpec,
@@ -64,23 +65,25 @@ def _spec(rate=50.0, **sim_overrides):
     )
 
 
-def _run(spec, replayable, *, replay, seed=0, start_index=0):
-    """One simulation under an explicit interpreter choice."""
-    config = dataclasses.replace(spec.sim, replay=replay)
+def _run(spec, replayable, *, oracle=False, seed=0, start_index=0):
+    """One simulation, through ``Simulation.run`` or the scalar oracle."""
     sim = Simulation(
         policy=build_policy(spec.policy, seed),
         selection=build_selection(spec.selection, seed),
-        config=config,
+        config=spec.sim,
     )
-    result = sim.run(replayable, start_index=start_index)
+    if oracle:
+        result = run_scalar(sim, replayable, start_index=start_index)
+    else:
+        result = sim.run(replayable, start_index=start_index)
     return sim, result
 
 
 def _assert_equivalent(spec, events, *, seed=0):
-    """Scalar over the event list == batched over the compiled trace."""
+    """Scalar oracle over the event list == batched over the compiled trace."""
     trace = compile_trace(events)
-    sim_s, res_s = _run(spec, events, replay="scalar", seed=seed)
-    sim_b, res_b = _run(spec, trace, replay="batched", seed=seed)
+    sim_s, res_s = _run(spec, events, oracle=True, seed=seed)
+    sim_b, res_b = _run(spec, trace, seed=seed)
     assert pickle.dumps(res_b.summary) == pickle.dumps(res_s.summary)
     assert state_digest(sim_b.store) == state_digest(sim_s.store)
     return res_s
@@ -109,13 +112,33 @@ def test_tenant_mix_equivalence():
     _assert_equivalent(_spec(rate=40.0), events)
 
 
-def test_plain_event_list_under_auto_stays_scalar():
-    """replay='auto' only engages batching for an already-compiled trace."""
+def test_generator_list_and_compiled_trace_agree():
+    """Simulation.run compiles whatever it is given: a generator, a list
+    and that list's CompiledTrace give pickle-equal summaries."""
     spec = _spec()
     events = list(build_workload(spec.workload, 0))
-    _, res_auto = _run(spec, events, replay="auto")
-    _, res_scalar = _run(spec, events, replay="scalar")
-    assert pickle.dumps(res_auto.summary) == pickle.dumps(res_scalar.summary)
+    outcomes = [
+        (pickle.dumps(res.summary), state_digest(sim.store))
+        for sim, res in (
+            _run(spec, build_workload(spec.workload, 0)),
+            _run(spec, events),
+            _run(spec, compile_trace(events)),
+        )
+    ]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_event_subclass_rejected_at_compile():
+    """The compiler knows the ten event classes exactly; a subclass is a
+    TypeError naming it, raised before any event is applied."""
+
+    class TaggedAccess(AccessEvent):
+        pass
+
+    sim = Simulation(policy=build_policy(_spec().policy, 0), config=_spec().sim)
+    with pytest.raises(TypeError, match="TaggedAccess"):
+        sim.run([CreateEvent(oid=1, size=64), TaggedAccess(oid=1)])
+    assert not sim.store.objects
 
 
 # ------------------------------------------------- start_index / resume
@@ -140,25 +163,26 @@ def _self_contained_events():
 def test_start_index_lands_mid_batch(start):
     """Resume from any offset — including inside a bulk run — matches.
 
-    Both interpreters must agree on the outcome (summary and state on
-    success, error type and message on failure) for every start offset.
+    The interpreter and the oracle must agree on the outcome (summary and
+    state on success, error type and message on failure) for every start
+    offset.
     """
     spec = _spec(rate=500.0)
     events = _self_contained_events()
     trace = compile_trace(events)
 
-    def outcome(replayable, replay):
+    def outcome(replayable, oracle):
         try:
-            sim, res = _run(spec, replayable, replay=replay, start_index=start)
+            sim, res = _run(spec, replayable, oracle=oracle, start_index=start)
         except StoreError as err:
             return ("error", type(err).__name__, str(err))
         return ("ok", pickle.dumps(res.summary), state_digest(sim.store))
 
-    assert outcome(trace, "batched") == outcome(events, "scalar")
+    assert outcome(trace, False) == outcome(events, True)
 
 
 def test_crash_drill_resume_matches_scalar():
-    """A crash drill resumed mid-trace is identical under both interpreters.
+    """A crash drill resumed mid-trace is identical to the scalar oracle's.
 
     With faults and a redo log attached the batched path takes its
     guarded per-event interpreter; the resume index must land strictly
@@ -170,14 +194,13 @@ def test_crash_drill_resume_matches_scalar():
     trace = compile_trace(events)
     plan = FaultPlan(faults=(FaultSpec(site="gc.collect", at=2),))
 
-    def drilled(replayable, replay):
+    def drilled(replayable, oracle):
         injector = FaultInjector(plan)
         log = RedoLog()
-        drill_config = dataclasses.replace(config, replay=replay)
         sim = Simulation(
             policy=build_policy(spec.policy, 0),
             selection=build_selection(spec.selection, 0),
-            config=drill_config,
+            config=config,
             faults=injector,
             redo_log=log,
         )
@@ -185,7 +208,10 @@ def test_crash_drill_resume_matches_scalar():
         resumes = []
         while True:
             try:
-                sim.run(replayable, start_index=start)
+                if oracle:
+                    run_scalar(sim, replayable, start_index=start)
+                else:
+                    sim.run(replayable, start_index=start)
                 break
             except SimulatedCrash as crash:
                 assert len(resumes) < 10, "unexpectedly many crashes"
@@ -196,7 +222,7 @@ def test_crash_drill_resume_matches_scalar():
                 sim = Simulation(
                     policy=build_policy(spec.policy, 0),
                     selection=build_selection(spec.selection, 0),
-                    config=drill_config,
+                    config=config,
                     faults=injector,
                     store=recovered,
                     redo_log=log,
@@ -204,8 +230,8 @@ def test_crash_drill_resume_matches_scalar():
         summary = sim.sampler.summary(sim.store, sim.store.iostats)
         return resumes, state_digest(sim.store), pickle.dumps(summary)
 
-    resumes_s, digest_s, summary_s = drilled(events, "scalar")
-    resumes_b, digest_b, summary_b = drilled(trace, "batched")
+    resumes_s, digest_s, summary_s = drilled(events, oracle=True)
+    resumes_b, digest_b, summary_b = drilled(trace, oracle=False)
     assert resumes_s, "the plan must actually crash the run"
     assert resumes_b == resumes_s
     assert digest_b == digest_s
@@ -241,15 +267,15 @@ def _durable_state(sim):
 
 
 def _assert_durable_equivalent(spec, events, durable, policy=None):
-    """Scalar == batched on summary, state, redo log, WAL and tx counters,
+    """Oracle == batched on summary, state, redo log, WAL and tx counters,
     with the batched run in fast mode."""
     if policy is not None:
         spec = dataclasses.replace(spec, policy=policy)
     spec = dataclasses.replace(spec, sim=dataclasses.replace(spec.sim, **durable))
 
-    def outcome(replayable, replay):
+    def outcome(replayable, oracle):
         try:
-            sim, res = _run(spec, replayable, replay=replay)
+            sim, res = _run(spec, replayable, oracle=oracle)
         except StoreError as err:
             return ("error", type(err).__name__, str(err))
         return (
@@ -261,7 +287,7 @@ def _assert_durable_equivalent(spec, events, durable, policy=None):
 
     probe = Simulation(policy=build_policy(spec.policy, 0), config=spec.sim)
     assert _fast_eligible(probe)
-    assert outcome(compile_trace(events), "batched") == outcome(events, "scalar")
+    assert outcome(compile_trace(events), False) == outcome(events, True)
 
 
 def _transactional_events():
@@ -348,40 +374,13 @@ def test_pure_python_fallback_is_byte_identical(monkeypatch):
     events = list(build_workload(spec.workload, 0))
 
     def batched_summary():
-        sim, res = _run(spec, compile_trace(events), replay="batched")
+        sim, res = _run(spec, compile_trace(events))
         return pickle.dumps(res.summary), state_digest(sim.store)
 
     with_default = batched_summary()
     monkeypatch.setattr("repro.sim.batch._HAVE_NUMPY", False)
     without_numpy = batched_summary()
     assert without_numpy == with_default
-
-
-# ------------------------------------------------- fingerprints / config
-
-
-def test_replay_choice_does_not_change_fingerprint():
-    """The interpreter is an execution detail, not an experiment input."""
-    spec = _spec()
-    prints = {
-        spec_fingerprint(
-            dataclasses.replace(
-                spec, sim=dataclasses.replace(spec.sim, replay=replay)
-            ),
-            seed=0,
-        )
-        for replay in ("auto", "batched", "scalar")
-    }
-    assert len(prints) == 1
-
-
-def test_invalid_replay_value_rejected():
-    spec = _spec()
-    with pytest.raises(ValueError, match="replay"):
-        Simulation(
-            policy=build_policy(spec.policy, 0),
-            config=dataclasses.replace(spec.sim, replay="vectorised"),
-        )
 
 
 # ------------------------------------------------- service backpressure
@@ -391,16 +390,16 @@ def test_service_backpressure_identical_across_interpreters():
     """Shedding decisions land at event (batch) boundaries either way.
 
     The service applies stream events one at a time so admission control
-    can veto each create before it executes; the configured interpreter
-    must not change a single shedding decision, counter, or the final
-    committed state.
+    can veto each create before it executes; its batched interpreter must
+    not change a single shedding decision, counter, or the final committed
+    state relative to the per-event oracle service.
     """
 
-    def report_for(replay):
-        service = GcService(
+    def report_for(service_class):
+        service = service_class(
             policy=build_policy(PolicySpec("fixed", {"overwrites_per_collection": 200.0}), 3),
             stream=grammar_stream(make_profile("oltp-churn"), seed=3),
-            sim_config=SimulationConfig(replay=replay),
+            sim_config=SimulationConfig(),
             service=ServiceConfig(
                 max_events=15_000,
                 checkpoint_every_events=5_000,
@@ -414,7 +413,7 @@ def test_service_backpressure_identical_across_interpreters():
         fields.pop("paced_sleep_s")
         return fields
 
-    scalar = report_for("scalar")
-    batched = report_for("batched")
-    assert scalar["backpressure"]["shed_events"] > 0, "the drill must shed"
-    assert batched == scalar
+    oracle = report_for(OracleService)
+    batched = report_for(GcService)
+    assert oracle["backpressure"]["shed_events"] > 0, "the drill must shed"
+    assert batched == oracle

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.experiments.common import DEFAULT_CONFIG, SAGA_PREAMBLE, oo7_spec
+from repro.experiments.figure1 import QUICK_RATES
 from repro.oo7.config import TINY
 from repro.sim.cache import ResultCache, spec_fingerprint
 from repro.sim.engine import run_experiment
@@ -130,3 +132,32 @@ def test_fingerprint_invalidates_on_any_input_change(run):
         sim=SimulationConfig(store=TINY_STORE, preamble_collections=1),
     )
     assert spec_fingerprint(other_sim, 0) != base  # simulation config
+
+
+#: ``spec_fingerprint(spec, 0)`` of each quick Figure 1 cell, recorded
+#: before ``SimulationConfig`` lost its ``reachability`` and ``replay``
+#: fields (both were excluded from canonical material). Every result
+#: cache populated since then must keep answering.
+_FIGURE1_QUICK_FINGERPRINTS = {
+    50: "b8cc6737f8b766f499a969dd1c66d22ceb863782adea75082fab7d488aefefe5",
+    100: "390136ad25d852c0a838e55acf53269c81d4cd75a737212382c98fed94add445",
+    200: "294b685201c90e7ce3f541093e46d0bba161aacecebe3220cd64ee1116756d0a",
+    400: "2249697110f20797325e9efe67f95e3960fae51e593daa475d900e00d29d3411",
+    800: "df18b3ebb137d544cc92b3ab68e80a320e1534e07b62e0445f288c7b75183e44",
+}
+
+
+def test_quick_figure1_fingerprints_are_pinned():
+    prints = {
+        rate: spec_fingerprint(
+            oo7_spec(
+                PolicySpec("fixed", {"overwrites_per_collection": rate}),
+                DEFAULT_CONFIG,
+                SAGA_PREAMBLE,
+                label=f"figure1 fixed@{rate:g}",
+            ),
+            0,
+        )
+        for rate in QUICK_RATES
+    }
+    assert prints == _FIGURE1_QUICK_FINGERPRINTS
