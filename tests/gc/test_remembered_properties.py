@@ -265,6 +265,23 @@ def test_modes_produce_pickle_identical_summaries():
     assert _run_cell(CopyingCollector) == _run_cell(FullScanCollector)
 
 
+#: The fingerprint this cell had under both ``reachability`` modes
+#: (``remembered``, ``full``) while ``SimulationConfig.reachability``
+#: existed; dropping the switch must leave cached results addressable.
+_CELL_FINGERPRINT = "e764dc1cc44b0b0cd2adfaca21afd47b17197019a008a5e0863e8dafeb2a4e73"
+
+
+def test_reachability_mode_does_not_perturb_fingerprints():
+    """The frontier is an implementation detail, not an experiment input."""
+    from repro.experiments.common import oo7_spec
+    from repro.oo7.config import TINY
+    from repro.sim.cache import spec_fingerprint
+    from repro.sim.spec import PolicySpec
+
+    spec = oo7_spec(PolicySpec("fixed", {"overwrites_per_collection": 40.0}), TINY, 2)
+    assert spec_fingerprint(spec, 0) == _CELL_FINGERPRINT
+
+
 # ---------------------------------------------------------------------------
 # Telemetry
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.oo7.config import TINY
 from repro.service.server import GcService, ServiceConfig
 from repro.service.stream import grammar_stream, tenant_stream
 from repro.sim.batch import _fast_eligible
+from repro.sim.cache import spec_fingerprint
 from repro.sim.simulator import Simulation, SimulationConfig
 from repro.sim.spec import (
     ExperimentSpec,
@@ -381,6 +382,20 @@ def test_pure_python_fallback_is_byte_identical(monkeypatch):
     monkeypatch.setattr("repro.sim.batch._HAVE_NUMPY", False)
     without_numpy = batched_summary()
     assert without_numpy == with_default
+
+
+# ------------------------------------------------- fingerprints / config
+
+#: The fingerprint ``_spec()`` had under every interpreter choice
+#: (``auto``, ``batched``, ``scalar``) while ``SimulationConfig.replay``
+#: existed: the interpreter was never an experiment input, so dropping
+#: the field must leave cached results addressable.
+_SPEC_FINGERPRINT = "c6deb216707b14dbacd9b864944d58b08f71db62a7cdb03d5914a8171881d25b"
+
+
+def test_replay_choice_does_not_change_fingerprint():
+    """The interpreter is an execution detail, not an experiment input."""
+    assert spec_fingerprint(_spec(), seed=0) == _SPEC_FINGERPRINT
 
 
 # ------------------------------------------------- service backpressure
