@@ -22,6 +22,12 @@ garbage drains).
 All node classes use identity equality (``eq=False``): the graph is cyclic
 through back-references and nodes are mutable bookkeeping records, not
 values.
+
+Two bookkeeping invariants keep every structural operation proportional to
+its own work: ``CompositeNode.parts`` holds only alive parts (deletion
+removes the part), and an alive part's ``out_conns`` and ``in_conns`` hold
+only alive connections (a connection is unlinked from both ends when it
+dies or its source part dies). Nothing ever re-filters by ``dead``.
 """
 
 from __future__ import annotations
@@ -65,10 +71,12 @@ class AtomicPartNode:
     dead: bool = False
 
     def alive_out_conns(self) -> list[ConnectionNode]:
-        return [c for c in self.out_conns if not c.dead]
+        """A copy of ``out_conns``, which holds only alive connections."""
+        return list(self.out_conns)
 
     def alive_in_conns(self) -> list[ConnectionNode]:
-        return [c for c in self.in_conns if not c.dead]
+        """A copy of ``in_conns``, which holds only alive connections."""
+        return list(self.in_conns)
 
 
 @dataclass(eq=False)
@@ -83,11 +91,12 @@ class CompositeNode:
     next_part_slot: int = 0
 
     def alive_parts(self) -> list[AtomicPartNode]:
-        return [p for p in self.parts if not p.dead]
+        """A copy of ``parts``, which holds only alive parts."""
+        return list(self.parts)
 
     def deletable_parts(self) -> list[AtomicPartNode]:
         """Alive parts that may be deleted (the root part always stays)."""
-        return [p for p in self.parts if not p.dead and not p.is_root_part]
+        return [p for p in self.parts if not p.is_root_part]
 
     @property
     def root_part(self) -> AtomicPartNode:
@@ -179,9 +188,9 @@ class Oo7Graph:
 
     def alive_connection_count(self) -> int:
         return sum(
-            len(part.alive_out_conns())
+            len(part.out_conns)
             for composite in self.composites
-            for part in composite.alive_parts()
+            for part in composite.parts
         )
 
     # ------------------------------------------------------------------
@@ -335,20 +344,26 @@ class Oo7Graph:
         composite.parts.append(part)
         return part
 
-    def _emit_part_creation(self, part: AtomicPartNode) -> Iterator[TraceEvent]:
-        yield CreateEvent(
-            part.oid,
-            self.config.atomic_part_size,
-            ObjectKind.ATOMIC_PART,
-            pointers=(("partOf", part.composite.oid),),
+    def _emit_part_creation(
+        self, part: AtomicPartNode
+    ) -> tuple[CreateEvent, PointerWriteEvent]:
+        composite_oid = part.composite.oid
+        return (
+            CreateEvent(
+                part.oid,
+                self.config.atomic_part_size,
+                ObjectKind.ATOMIC_PART,
+                pointers=(("partOf", composite_oid),),
+            ),
+            PointerWriteEvent(composite_oid, part.slot, part.oid),
         )
-        yield PointerWriteEvent(part.composite.oid, part.slot, part.oid)
 
     def _emit_connection(
         self, src: AtomicPartNode, dst: AtomicPartNode
-    ) -> Iterator[TraceEvent]:
+    ) -> tuple[CreateEvent, PointerWriteEvent]:
+        size = self.config.connection_size
         conn = ConnectionNode(
-            oid=self._new_oid(self.config.connection_size),
+            oid=self._new_oid(size),
             src=src,
             dst=dst,
             slot=f"conn{src.next_conn_slot}",
@@ -356,13 +371,12 @@ class Oo7Graph:
         src.next_conn_slot += 1
         src.out_conns.append(conn)
         dst.in_conns.append(conn)
-        yield CreateEvent(
-            conn.oid,
-            self.config.connection_size,
-            ObjectKind.CONNECTION,
-            pointers=(("to", dst.oid),),
+        return (
+            CreateEvent(
+                conn.oid, size, ObjectKind.CONNECTION, pointers=(("to", dst.oid),)
+            ),
+            PointerWriteEvent(src.oid, conn.slot, conn.oid),
         )
-        yield PointerWriteEvent(src.oid, conn.slot, conn.oid)
 
     def insert_part(self, composite: CompositeNode) -> tuple[AtomicPartNode, list[TraceEvent]]:
         """Insert one new atomic part with fresh connections into ``composite``.
@@ -376,18 +390,20 @@ class Oo7Graph:
         single part (deletion had nothing left to retarget to) gets fresh
         connections once targets exist again.
         """
-        candidates = composite.alive_parts()
+        degree = self.config.num_conn_per_atomic
+        candidates = list(composite.parts)  # before the new part joins
         part = self._create_part_node(composite)
         events = list(self._emit_part_creation(part))
-        for _ in range(self.config.num_conn_per_atomic):
+        for _ in range(degree):
             target = self._random_conn_target(part, candidates)
             events.extend(self._emit_connection(part, target))
 
         for deficient in candidates:
-            repair_targets = [p for p in composite.alive_parts() if p is not deficient]
-            if not repair_targets:
+            if len(deficient.out_conns) >= degree:
                 continue
-            while len(deficient.alive_out_conns()) < self.config.num_conn_per_atomic:
+            # Never empty: the new part is always a valid target.
+            repair_targets = [p for p in composite.parts if p is not deficient]
+            while len(deficient.out_conns) < degree:
                 target = self._random_conn_target(deficient, repair_targets)
                 events.extend(self._emit_connection(deficient, target))
         return part, events
@@ -438,12 +454,13 @@ class Oo7Graph:
             raise ValueError(f"part {part.oid} is a composite root part and cannot be deleted")
 
         composite = part.composite
+        parts = composite.parts
         events: list[TraceEvent] = []
-        for conn in part.alive_in_conns():
+        in_conns, part.in_conns = part.in_conns, []
+        for conn in in_conns:
             source = conn.src
-            part.in_conns.remove(conn)
             replacement_targets = [
-                p for p in composite.alive_parts() if p is not source and p is not part
+                p for p in parts if p is not source and p is not part
             ]
             if replacement_targets:
                 target = self.rng.choice(replacement_targets)
@@ -460,7 +477,8 @@ class Oo7Graph:
                 )
 
         out_dies = []
-        for conn in part.alive_out_conns():
+        out_conns, part.out_conns = part.out_conns, []
+        for conn in out_conns:
             conn.dead = True
             conn.dst.in_conns.remove(conn)
             out_dies.append(conn.oid)
@@ -471,6 +489,6 @@ class Oo7Graph:
             )
         )
         part.dead = True
-        composite.parts.remove(part)
+        parts.remove(part)
         composite.free_part_slots.append(part.slot)
         return events

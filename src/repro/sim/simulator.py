@@ -194,7 +194,10 @@ class Simulation:
             floor = min((r.txid for r in self.redo_log.records), default=0)
             self._auto_txid = min(self._auto_txid, floor - 1)
         self._trigger: Optional[Trigger] = None
-        self._clock_read = self._clock_app_io
+        # An unbound reader, called with the simulation: a bound method
+        # stored on ``self`` would be a reference cycle keeping a finished
+        # run's whole heap alive until the host's next full collection.
+        self._clock_read = Simulation._clock_app_io
         self._due_at: float = float("inf")
         # The true trigger deadline. In parallel-collection mode _due_at is
         # pulled earlier to the margin point so the replay loops wake the
@@ -252,7 +255,7 @@ class Simulation:
     def _clock(self) -> float:
         if self._trigger is None:
             return 0.0
-        return self._clock_read()
+        return self._clock_read(self)
 
     def _clock_overwrites(self) -> float:
         return float(self.store.pointer_overwrites)
@@ -263,20 +266,21 @@ class Simulation:
     def _clock_app_io(self) -> float:
         return float(self.store.iostats.application_total)
 
-    def _clock_reader(self, base: TimeBase):
-        """Bound zero-argument reader for one time base (hot-loop form)."""
+    @staticmethod
+    def _clock_reader(base: TimeBase):
+        """Unbound one-argument reader for one time base (hot-loop form)."""
         if base is TimeBase.OVERWRITES:
-            return self._clock_overwrites
+            return Simulation._clock_overwrites
         if base is TimeBase.ALLOCATED:
-            return self._clock_allocated
-        return self._clock_app_io
+            return Simulation._clock_allocated
+        return Simulation._clock_app_io
 
     def _schedule(self, trigger: Trigger) -> None:
         self._trigger = trigger
         # Rebinding the reader here keeps _clock() a single indirect call
         # per event instead of an enum comparison chain.
         self._clock_read = self._clock_reader(trigger.base)
-        now = self._clock_read()
+        now = self._clock_read(self)
         due = now + trigger.interval
         self._real_due_at = due
         par = self._par

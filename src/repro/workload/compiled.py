@@ -459,18 +459,29 @@ class TraceColumns:
             self.ops.append(_OP_CREATE)
             self.arg0.append(event.oid)
             self.arg1.append(event.size)
-            self.create_kind.append(self._string(event.kind.value))
+            intern = self._intern
+            # ``_value_`` is the member's string, without the Enum ``value``
+            # descriptor's Python-level lookup.
+            text = event.kind._value_
+            index = intern.get(text)
+            self.create_kind.append(self._string(text) if index is None else index)
+            ptr_slots = self.ptr_slots
             for slot, target in event.pointers:
-                self.ptr_slots.append(self._string(slot))
+                index = intern.get(slot)
+                ptr_slots.append(self._string(slot) if index is None else index)
                 self.ptr_targets.append(_NONE if target is None else target)
-            self.create_ptr_start.append(len(self.ptr_slots))
+            self.create_ptr_start.append(len(ptr_slots))
         elif cls is PointerWriteEvent:
             self.ops.append(_OP_WRITE)
             self.arg0.append(event.src)
-            self.arg1.append(_NONE if event.target is None else event.target)
-            self.write_slot.append(self._string(event.slot))
-            self.dies.extend(event.dies)
-            self.write_dies_start.append(len(self.dies))
+            target = event.target
+            self.arg1.append(_NONE if target is None else target)
+            slot = event.slot
+            index = self._intern.get(slot)
+            self.write_slot.append(self._string(slot) if index is None else index)
+            dies = self.dies
+            dies.extend(event.dies)
+            self.write_dies_start.append(len(dies))
         elif cls is UpdateEvent:
             self.ops.append(_OP_UPDATE)
             self.arg0.append(event.oid)

@@ -108,13 +108,14 @@ def _traverse_composite(composite: CompositeNode) -> Iterator[TraceEvent]:
     while stack:
         part = stack.pop()
         yield AccessEvent(part.oid)
-        for conn in part.alive_out_conns():
+        # Alive parts hold only alive connections, to alive parts.
+        for conn in part.out_conns:
             yield AccessEvent(conn.oid)
-            if conn.dst.oid not in seen and not conn.dst.dead:
+            if conn.dst.oid not in seen:
                 seen.add(conn.dst.oid)
                 stack.append(conn.dst)
     # Parts not reachable through connections are still held by the composite.
-    for part in composite.alive_parts():
+    for part in composite.parts:
         if part.oid not in seen:
             seen.add(part.oid)
             yield AccessEvent(part.oid)

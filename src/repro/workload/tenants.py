@@ -42,6 +42,7 @@ from repro.events import (
     BeginTransactionEvent,
     CommitTransactionEvent,
     CreateEvent,
+    IdleEvent,
     PhaseMarkerEvent,
     PointerWriteEvent,
     RootEvent,
@@ -185,39 +186,53 @@ def _remap_event(event: TraceEvent, stride: int, offset: int, prefix: str) -> Tr
     Object ids map ``oid → oid * stride + offset`` (disjoint residue
     classes per tenant); transaction ids likewise; phase markers gain the
     ``tenant/`` prefix. Events without ids (idle) pass through unchanged.
+    Dispatch is on the exact event class, most frequent first; grammar
+    workloads emit no subclasses.
     """
-
-    def oid(value):
-        return value * stride + offset
-
-    if isinstance(event, CreateEvent):
-        pointers = tuple(
-            (slot, None if target is None else oid(target))
-            for slot, target in event.pointers
+    cls = type(event)
+    if cls is AccessEvent:
+        return AccessEvent(event.oid * stride + offset)
+    if cls is IdleEvent:
+        return event
+    if cls is CreateEvent:
+        pointers = event.pointers
+        if pointers:
+            remapped = []
+            for slot, target in pointers:
+                remapped.append(
+                    (slot, None if target is None else target * stride + offset)
+                )
+            pointers = tuple(remapped)
+        return CreateEvent(
+            event.oid * stride + offset, event.size, event.kind, pointers=pointers
         )
-        return CreateEvent(oid(event.oid), event.size, event.kind, pointers=pointers)
-    if isinstance(event, AccessEvent):
-        return AccessEvent(oid(event.oid))
-    if isinstance(event, UpdateEvent):
-        return UpdateEvent(oid(event.oid))
-    if isinstance(event, PointerWriteEvent):
+    if cls is PointerWriteEvent:
+        target = event.target
+        dies = event.dies
+        if dies:
+            remapped = []
+            for oid in dies:
+                remapped.append(oid * stride + offset)
+            dies = tuple(remapped)
         return PointerWriteEvent(
-            oid(event.src),
+            event.src * stride + offset,
             event.slot,
-            None if event.target is None else oid(event.target),
-            dies=tuple(oid(d) for d in event.dies),
+            None if target is None else target * stride + offset,
+            dies=dies,
         )
-    if isinstance(event, RootEvent):
-        return RootEvent(oid(event.oid))
-    if isinstance(event, PhaseMarkerEvent):
+    if cls is UpdateEvent:
+        return UpdateEvent(event.oid * stride + offset)
+    if cls is RootEvent:
+        return RootEvent(event.oid * stride + offset)
+    if cls is PhaseMarkerEvent:
         return PhaseMarkerEvent(f"{prefix}/{event.name}")
-    if isinstance(event, BeginTransactionEvent):
-        return BeginTransactionEvent(oid(event.txid))
-    if isinstance(event, CommitTransactionEvent):
-        return CommitTransactionEvent(oid(event.txid))
-    if isinstance(event, AbortTransactionEvent):
-        return AbortTransactionEvent(oid(event.txid))
-    return event  # IdleEvent
+    if cls is BeginTransactionEvent:
+        return BeginTransactionEvent(event.txid * stride + offset)
+    if cls is CommitTransactionEvent:
+        return CommitTransactionEvent(event.txid * stride + offset)
+    if cls is AbortTransactionEvent:
+        return AbortTransactionEvent(event.txid * stride + offset)
+    raise TypeError(f"cannot remap unknown trace event {event!r}")
 
 
 class TenantMix:
@@ -287,6 +302,7 @@ class TenantMix:
             workload.stream(max_live_clusters)
             for workload in self.tenant_workloads()
         ]
+        names = [tenant.name for tenant in tenants]
         weights = [tenant.weight for tenant in tenants]
         cum_weights = list(accumulate(weights))
         total = cum_weights[-1] + 0.0
@@ -294,16 +310,17 @@ class TenantMix:
         random_ = rng.random
         while True:
             index = bisect(cum_weights, random_() * total, 0, hi)
-            in_transaction = False
-            while True:
-                event = next(streams[index])
-                yield _remap_event(event, stride, index, tenants[index].name)
-                if isinstance(event, BeginTransactionEvent):
-                    in_transaction = True
-                elif isinstance(event, (CommitTransactionEvent, AbortTransactionEvent)):
-                    in_transaction = False
-                if not in_transaction:
-                    break
+            stream, name = streams[index], names[index]
+            event = next(stream)
+            yield _remap_event(event, stride, index, name)
+            if type(event) is BeginTransactionEvent:
+                # The tenant keeps the floor until it commits or aborts.
+                while True:
+                    event = next(stream)
+                    yield _remap_event(event, stride, index, name)
+                    cls = type(event)
+                    if cls is CommitTransactionEvent or cls is AbortTransactionEvent:
+                        break
 
     def _merge_bisect(
         self, streams: list[Iterator[TraceEvent]]
@@ -342,9 +359,10 @@ class TenantMix:
                         hi = len(cum_weights) - 1
                     break
                 yield _remap_event(event, stride, index, tenants[index].name)
-                if isinstance(event, BeginTransactionEvent):
+                cls = type(event)
+                if cls is BeginTransactionEvent:
                     in_transaction = True
-                elif isinstance(event, (CommitTransactionEvent, AbortTransactionEvent)):
+                elif cls is CommitTransactionEvent or cls is AbortTransactionEvent:
                     in_transaction = False
                 if not in_transaction:
                     break

@@ -12,7 +12,7 @@ from repro.events import (
     trace_stats,
 )
 from repro.oo7.builder import apply_event
-from repro.oo7.config import TINY
+from repro.oo7.config import TINY, OO7Config
 from repro.oo7.schema import Oo7Graph
 from repro.storage.heap import ObjectStore, StoreConfig
 from repro.storage.object_model import ObjectKind
@@ -188,3 +188,57 @@ def test_death_annotations_match_reachability_at_phase_boundaries(seed):
             apply_event(store, event)
         assert store.check_death_annotations() == set()
         assert store.garbage.undeclared == 0
+
+
+# ----------------------------------------------------------------------
+# Generator bookkeeping invariants
+# ----------------------------------------------------------------------
+
+#: Three parts per composite and full deletion drive composites down to
+#: their root part, so deletion's degenerate branch (no retarget left) and
+#: insertion's connectivity repair both run.
+DEGENERATE = OO7Config(
+    num_atomic_per_comp=3,
+    num_conn_per_atomic=2,
+    num_comp_per_module=6,
+    num_assm_levels=2,
+)
+
+
+def _assert_bookkeeping(graph):
+    """The invariants that let the generator skip re-filtering by ``dead``."""
+    degree = graph.config.num_conn_per_atomic
+    for composite in graph.composites:
+        assert composite.parts, "the root part is never deleted"
+        for part in composite.parts:
+            assert not part.dead
+            assert part.composite is composite
+            assert len(part.out_conns) <= degree
+            for conn in part.out_conns:
+                assert not conn.dead
+                assert conn.src is part
+                assert not conn.dst.dead
+                assert conn in conn.dst.in_conns
+            for conn in part.in_conns:
+                assert not conn.dead
+                assert conn.dst is part
+                assert not conn.src.dead
+                assert conn in conn.src.out_conns
+
+
+@pytest.mark.parametrize(
+    "config, seed, fraction",
+    [(TINY, 0, 0.5), (TINY, 1, 0.5), (DEGENERATE, 0, 1.0), (DEGENERATE, 3, 1.0)],
+)
+def test_bookkeeping_invariants_hold_after_every_phase(config, seed, fraction):
+    rng = random.Random(seed)
+    graph = Oo7Graph(config, rng=rng)
+    for phase in (
+        lambda: gen_db_phase(graph),
+        lambda: reorg1_phase(graph, rng, fraction),
+        lambda: traverse_phase(graph),
+        lambda: reorg2_phase(graph, rng, fraction),
+    ):
+        for _ in phase():
+            pass
+        _assert_bookkeeping(graph)

@@ -1,8 +1,12 @@
 """Multi-tenant interleaving: remapping, determinism, profiles, config."""
 
+import itertools
+
 import pytest
 
 from repro.events import (
+    AbortTransactionEvent,
+    AccessEvent,
     BeginTransactionEvent,
     CommitTransactionEvent,
     CreateEvent,
@@ -221,6 +225,54 @@ def test_transactions_stay_contiguous():
             if isinstance(event, CreateEvent):
                 assert event.oid % 2 == 0
     assert depth == 0
+
+
+def test_stream_transactions_stay_contiguous():
+    class _TxWorkload:
+        """Endless transactions, alternately committed and aborted."""
+
+        def stream(self, max_live_clusters):
+            txid = 0
+            while True:
+                txid += 1
+                yield BeginTransactionEvent(txid)
+                yield CreateEvent(txid, 64)
+                yield AccessEvent(txid)
+                if txid % 2:
+                    yield CommitTransactionEvent(txid)
+                else:
+                    yield AbortTransactionEvent(txid)
+
+    mix = TenantMix(_mix(2), seed=0)
+    workloads = mix.tenant_workloads()
+    mix.tenant_workloads = lambda: [_TxWorkload(), workloads[1]]  # type: ignore[method-assign]
+    events = list(itertools.islice(mix.stream(), 2000))
+    in_transaction = False
+    ends = 0
+    for event in events:
+        if isinstance(event, BeginTransactionEvent):
+            assert not in_transaction
+            in_transaction = True
+        elif isinstance(event, (CommitTransactionEvent, AbortTransactionEvent)):
+            assert in_transaction
+            in_transaction = False
+            ends += 1
+        elif in_transaction:
+            # Inside tenant 0's transaction only its own (even-residue)
+            # events may appear.
+            assert isinstance(event, (CreateEvent, AccessEvent))
+            assert event.oid % 2 == 0
+    assert ends > 100
+    # The grammar tenant got the floor too.
+    assert any(isinstance(e, CreateEvent) and e.oid % 2 == 1 for e in events)
+
+
+def test_remap_rejects_unknown_event_classes():
+    class _Custom(AccessEvent):
+        pass
+
+    with pytest.raises(TypeError, match="cannot remap"):
+        _remap_event(_Custom(1), 2, 0, "t")
 
 
 # ----------------------------------------------------------------------
